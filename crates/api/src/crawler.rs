@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use steam_model::{Friendship, Group, GroupId, Snapshot, SteamId};
+use steam_model::{Account, AppId, Friendship, Game, Group, GroupId, Snapshot, SteamId};
 use steam_net::backoff::{transient, Backoff};
 use steam_net::client::HttpClient;
 use steam_net::pool::ConnectionPool;
@@ -43,7 +43,7 @@ use steam_obs::{
 };
 
 use crate::checkpoint::{CheckpointStore, Record, Replay, UserRecord};
-use crate::service::MAX_BATCH_IDS;
+use crate::endpoint::{Endpoint, MAX_BATCH_IDS};
 use crate::shard::{shard_of, shard_of_app, shard_of_group};
 use crate::wire;
 
@@ -299,6 +299,44 @@ struct Fetcher {
 }
 
 impl Fetcher {
+    /// One census batch: the profiles of whichever `ids` exist.
+    fn summaries(&mut self, key: &str, ids: Vec<SteamId>) -> Result<Vec<Account>, NetError> {
+        let target = Endpoint::Summaries(ids).target(Some(key));
+        self.get_parsed(&target, wire::parse_player_summaries)
+    }
+
+    /// Account `u`'s friends, games and groups: the three per-user fetches
+    /// of phase 2.
+    fn harvest_user(&mut self, key: &str, u: u32, id: SteamId) -> Result<UserRecord, NetError> {
+        let key = Some(key);
+        let friends =
+            self.get_parsed(&Endpoint::FriendList(id).target(key), wire::parse_friend_list)?;
+        let games =
+            self.get_parsed(&Endpoint::OwnedGames(id).target(key), wire::parse_owned_games)?;
+        let groups =
+            self.get_parsed(&Endpoint::GroupList(id).target(key), wire::parse_group_list)?;
+        Ok(UserRecord { index: u, friends, games, groups })
+    }
+
+    fn group_page(&mut self, gid: GroupId) -> Result<Group, NetError> {
+        self.get_parsed(&Endpoint::GroupPage(gid).target(None), wire::parse_group_page)
+    }
+
+    fn app_list(&mut self) -> Result<Vec<AppId>, NetError> {
+        self.get_parsed(&Endpoint::AppList.target(None), wire::parse_app_list)
+    }
+
+    /// One catalog entry: store details plus achievement percentages.
+    fn app(&mut self, app: AppId) -> Result<Game, NetError> {
+        let details = Endpoint::AppDetails(app).target(None);
+        let mut game = self.get_parsed(&details, |body| wire::parse_app_details(app, body))?;
+        game.achievements = self.get_parsed(
+            &Endpoint::Achievements(app).target(None),
+            wire::parse_achievement_percentages,
+        )?;
+        Ok(game)
+    }
+
     /// Fetches `target` and parses the body *inside* the retry loop: a
     /// response that parses as garbage (an injected corruption, a truncated
     /// proxy body) is retried like any other transient fault instead of
@@ -496,17 +534,8 @@ impl Crawler {
         }
 
         while empty_run < self.config.empty_batches_to_stop {
-            let ids: Vec<String> = (next_index..next_index + MAX_BATCH_IDS as u64)
-                .map(|i| SteamId::from_index(i).to_string())
-                .collect();
-            let players = self.fetcher.get_parsed(
-                &format!(
-                    "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
-                    self.config.api_key,
-                    ids.join(",")
-                ),
-                wire::parse_player_summaries,
-            )?;
+            let ids = (next_index..next_index + MAX_BATCH_IDS as u64).map(SteamId::from_index);
+            let players = self.fetcher.summaries(&self.config.api_key, ids.collect())?;
             self.progress.census_batches.inc();
             if let Some(j) = journal {
                 j.lock().append(&Record::CensusBatch {
@@ -546,8 +575,7 @@ impl Crawler {
         let key = self.config.api_key.clone();
         let mut panel = steam_model::WeekPanel::default();
         for (u, acct) in accounts.iter().enumerate() {
-            let target =
-                format!("/reproduction/panel?key={key}&steamid={}", acct.id);
+            let target = Endpoint::Panel(acct.id).target(Some(&key));
             match self.fetcher.get_parsed(&target, wire::parse_panel) {
                 Ok(days) => {
                     panel.users.push(u as u32);
@@ -628,29 +656,13 @@ impl Crawler {
             .filter(|&u| user_records[u as usize].is_none())
             .collect();
 
-        let harvest_user = |fetcher: &mut Fetcher, u: u32| -> Result<UserRecord, NetError> {
-            let id = accounts[u as usize].id;
-            let friends = fetcher.get_parsed(
-                &format!("/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"),
-                wire::parse_friend_list,
-            )?;
-            let games = fetcher.get_parsed(
-                &format!("/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"),
-                wire::parse_owned_games,
-            )?;
-            let groups = fetcher.get_parsed(
-                &format!("/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"),
-                wire::parse_group_list,
-            )?;
-            Ok(UserRecord { index: u, friends, games, groups })
-        };
         let cursor = AtomicUsize::new(0);
         let run_worker = |fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
             let mut out = Vec::new();
             loop {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&u) = todo.get(k) else { break };
-                let rec = harvest_user(fetcher, u)?;
+                let rec = fetcher.harvest_user(&key, u, accounts[u as usize].id)?;
                 // Journal only fully harvested users: all three fetches
                 // landed, so resume can skip this account entirely.
                 if let Some(j) = journal {
@@ -720,10 +732,7 @@ impl Crawler {
                 self.progress.resume_skipped.inc();
                 g.clone()
             } else {
-                let page = self.fetcher.get_parsed(
-                    &format!("/community/group/{}", gid.0),
-                    wire::parse_group_page,
-                )?;
+                let page = self.fetcher.group_page(gid)?;
                 if let Some(j) = journal {
                     j.lock().append(&Record::GroupPage(page.clone()))?;
                 }
@@ -751,9 +760,7 @@ impl Crawler {
             self.progress.resume_skipped.inc();
             list.clone()
         } else {
-            let list = self
-                .fetcher
-                .get_parsed("/ISteamApps/GetAppList/v2", wire::parse_app_list)?;
+            let list = self.fetcher.app_list()?;
             if let Some(j) = journal {
                 j.lock().append(&Record::AppList(list.clone()))?;
             }
@@ -766,17 +773,7 @@ impl Crawler {
                 catalog.push(game.clone());
                 continue;
             }
-            let mut game = self.fetcher.get_parsed(
-                &format!("/api/appdetails?appids={}", app.0),
-                |body| wire::parse_app_details(app, body),
-            )?;
-            game.achievements = self.fetcher.get_parsed(
-                &format!(
-                    "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
-                    app.0
-                ),
-                wire::parse_achievement_percentages,
-            )?;
+            let game = self.fetcher.app(app)?;
             if let Some(j) = journal {
                 j.lock().append(&Record::App(game.clone()))?;
             }
@@ -850,17 +847,8 @@ impl Crawler {
 
         while empty_run < self.config.empty_batches_to_stop {
             let first = key_of(batch_no);
-            let ids: Vec<String> = (0..MAX_BATCH_IDS as u64)
-                .map(|j| SteamId::from_index(first + j * n).to_string())
-                .collect();
-            let players = self.fetcher.get_parsed(
-                &format!(
-                    "/ISteamUser/GetPlayerSummaries/v2?key={}&steamids={}",
-                    self.config.api_key,
-                    ids.join(",")
-                ),
-                wire::parse_player_summaries,
-            )?;
+            let ids = (0..MAX_BATCH_IDS as u64).map(|j| SteamId::from_index(first + j * n));
+            let players = self.fetcher.summaries(&self.config.api_key, ids.collect())?;
             self.progress.census_batches.inc();
             if let Some(j) = journal {
                 j.lock().append(&Record::CensusBatch {
@@ -1044,26 +1032,7 @@ fn crawl_sharded_phases(
                         loop {
                             let k = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&u) = todo.get(k) else { break };
-                            let id = accounts[u as usize].id;
-                            let friends = fetcher.get_parsed(
-                                &format!(
-                                    "/ISteamUser/GetFriendList/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_friend_list,
-                            )?;
-                            let games = fetcher.get_parsed(
-                                &format!(
-                                    "/IPlayerService/GetOwnedGames/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_owned_games,
-                            )?;
-                            let groups = fetcher.get_parsed(
-                                &format!(
-                                    "/ISteamUser/GetUserGroupList/v1?key={key}&steamid={id}"
-                                ),
-                                wire::parse_group_list,
-                            )?;
-                            let rec = UserRecord { index: u, friends, games, groups };
+                            let rec = fetcher.harvest_user(key, u, accounts[u as usize].id)?;
                             if let Some(j) = journal {
                                 j.lock().append(&Record::User(rec.clone()))?;
                             }
@@ -1122,10 +1091,7 @@ fn crawl_sharded_phases(
             g.clone()
         } else {
             let s = shard_of_group(gid, n);
-            let page = crawlers[s].fetcher.get_parsed(
-                &format!("/community/group/{}", gid.0),
-                wire::parse_group_page,
-            )?;
+            let page = crawlers[s].fetcher.group_page(gid)?;
             if let Some(j) = &journals[s] {
                 j.lock().append(&Record::GroupPage(page.clone()))?;
             }
@@ -1155,9 +1121,7 @@ fn crawl_sharded_phases(
         progress.resume_skipped.inc();
         list.clone()
     } else {
-        let list = crawlers[0]
-            .fetcher
-            .get_parsed("/ISteamApps/GetAppList/v2", wire::parse_app_list)?;
+        let list = crawlers[0].fetcher.app_list()?;
         if let Some(j) = &journals[0] {
             j.lock().append(&Record::AppList(list.clone()))?;
         }
@@ -1172,17 +1136,7 @@ fn crawl_sharded_phases(
         }
         let s = shard_of_app(app, n);
         let crawler = &mut crawlers[s];
-        let mut game = crawler.fetcher.get_parsed(
-            &format!("/api/appdetails?appids={}", app.0),
-            |body| wire::parse_app_details(app, body),
-        )?;
-        game.achievements = crawler.fetcher.get_parsed(
-            &format!(
-                "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid={}",
-                app.0
-            ),
-            wire::parse_achievement_percentages,
-        )?;
+        let game = crawler.fetcher.app(app)?;
         if let Some(j) = &journals[s] {
             j.lock().append(&Record::App(game.clone()))?;
         }
@@ -1208,7 +1162,7 @@ fn crawl_sharded_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{serve, RateLimit};
+    use crate::service::{serve, ApiService, RateLimit};
     use std::sync::Arc;
     use steam_synth::{Generator, SynthConfig};
 
@@ -1339,7 +1293,7 @@ mod tests {
         // Panel rows index into the population; the service is keyed by the
         // second snapshot's accounts (same ids as the first).
         let snapshot = Arc::new(world.second_snapshot.clone());
-        let service = crate::service::ApiService::new(
+        let service = ApiService::new(
             Arc::clone(&snapshot),
             RateLimit::default(),
         )
@@ -1399,12 +1353,12 @@ mod tests {
         let crawl_with = |pool_size: Option<usize>| {
             // Fresh server per crawl so connection counts aren't conflated.
             let registry = Arc::new(steam_obs::Registry::new());
-            let (server, _service) = crate::service::serve_observed(
-                Arc::clone(&original),
+            let (server, _service) = crate::service::serve_service_faulty(
+                ApiService::new(Arc::clone(&original), RateLimit::default()),
                 "127.0.0.1:0",
                 WORKERS + 1,
-                RateLimit::default(),
-                Arc::clone(&registry),
+                Some(Arc::clone(&registry)),
+                None,
             )
             .unwrap();
             let config = CrawlerConfig {

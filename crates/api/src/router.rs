@@ -28,12 +28,13 @@
 //! a `router`-component client span, so `/debug/spans?trace=` shows
 //! client → router → shard for one routed request.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use steam_model::{AppId, GroupId, SteamId};
+use steam_model::SteamId;
 use steam_net::http::{Request, Response};
 use steam_net::server::{Handler, HttpServer};
 use steam_net::url::{build_query, encode_path};
@@ -42,7 +43,7 @@ use steam_obs::{
     next_span_id, now_us, record_span, Counter, SpanKind, SpanRecord, TraceContext, TRACE_HEADER,
 };
 
-use crate::service::MAX_BATCH_IDS;
+use crate::endpoint::{self, Endpoint};
 use crate::shard::{shard_of, shard_of_app, shard_of_group};
 use crate::wire;
 
@@ -88,11 +89,6 @@ impl RouterService {
             backoff: config.backoff,
             metrics: OnceLock::new(),
         }
-    }
-
-    /// The shard fleet, in ring order.
-    pub fn shards(&self) -> &[SocketAddr] {
-        &self.shards
     }
 
     /// The shared address-keyed connection pool.
@@ -231,102 +227,38 @@ impl RouterService {
         }
     }
 
-    /// Rebuilds the request target (path + query) for proxying. The HTTP
-    /// layer decoded both; re-encoding round-trips through the shard's
-    /// parser to the same decoded values.
-    fn rebuild_target(req: &Request) -> String {
+    /// Rebuilds the request target (path + query) for proxying, with the
+    /// `steamids` parameter replaced by `ids` when given (other parameters
+    /// — notably `key` — survive in order). The HTTP layer decoded both;
+    /// re-encoding round-trips through the shard's parser to the same
+    /// decoded values.
+    fn target(req: &Request, ids: Option<&[SteamId]>) -> String {
         if req.query.is_empty() {
-            encode_path(&req.path)
-        } else {
-            let pairs: Vec<(&str, String)> =
-                req.query.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-            format!("{}?{}", encode_path(&req.path), build_query(&pairs))
+            return encode_path(&req.path);
         }
-    }
-
-    /// Rebuilds the target with the `steamids` parameter replaced by
-    /// `ids` (other parameters — notably `key` — survive in order).
-    fn subbatch_target(req: &Request, ids: &[SteamId]) -> String {
         let joined =
-            ids.iter().map(|id| id.to_string()).collect::<Vec<_>>().join(",");
+            ids.map(|ids| ids.iter().map(SteamId::to_string).collect::<Vec<_>>().join(","));
         let pairs: Vec<(&str, String)> = req
             .query
             .iter()
-            .map(|(k, v)| {
-                (k.as_str(), if k == "steamids" { joined.clone() } else { v.clone() })
+            .map(|(k, v)| match &joined {
+                Some(joined) if k == "steamids" => (k.as_str(), joined.clone()),
+                _ => (k.as_str(), v.clone()),
             })
             .collect();
         format!("{}?{}", encode_path(&req.path), build_query(&pairs))
     }
 
-    /// The shard that owns the entity a request names. Requests the shards
-    /// would reject anyway (missing/malformed parameters, unknown paths)
-    /// go to shard 0, whose error response is byte-identical to any
-    /// other's.
-    fn pick_shard(&self, req: &Request) -> usize {
+    /// The batch endpoint on a multi-shard fleet: split the (already
+    /// de-duplicated) ids per shard, fan out, merge in request order.
+    fn route_summaries(
+        &self,
+        req: &Request,
+        ids: Vec<SteamId>,
+        target: &str,
+        incoming: Option<TraceContext>,
+    ) -> Response {
         let n = self.shards.len();
-        if let Some(gid) = req.path.strip_prefix("/community/group/") {
-            return match gid.parse::<u32>() {
-                Ok(g) => shard_of_group(GroupId(g), n),
-                Err(_) => 0,
-            };
-        }
-        match req.path.as_str() {
-            "/ISteamUser/GetFriendList/v1"
-            | "/IPlayerService/GetOwnedGames/v1"
-            | "/ISteamUser/GetUserGroupList/v1"
-            | "/reproduction/panel" => req
-                .query_param("steamid")
-                .and_then(|s| s.parse::<SteamId>().ok())
-                .map_or(0, |id| shard_of(id, n)),
-            "/api/appdetails" => req
-                .query_param("appids")
-                .and_then(|s| s.parse::<u32>().ok())
-                .map_or(0, |a| shard_of_app(AppId(a), n)),
-            "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2" => req
-                .query_param("gameid")
-                .and_then(|s| s.parse::<u32>().ok())
-                .map_or(0, |a| shard_of_app(AppId(a), n)),
-            // `/ISteamApps/GetAppList/v2` (replicated catalog), `/debug/*`,
-            // and anything unknown: shard 0 answers for the fleet.
-            _ => 0,
-        }
-    }
-
-    /// The batch endpoint: split per shard, fan out, merge in request
-    /// order. Invalid batches (malformed id, too many ids, missing or
-    /// empty parameter) are forwarded whole to shard 0, whose validation
-    /// response is byte-identical to the unsharded service's.
-    fn route_summaries(&self, req: &Request, incoming: Option<TraceContext>) -> Response {
-        let n = self.shards.len();
-        let target = Self::rebuild_target(req);
-        // Single-shard fleet fast path: every id hashes to shard 0 by
-        // construction, so parsing, deduplicating, and re-encoding the id
-        // list can only reproduce the request we already have. The shard
-        // deduplicates in the same first-occurrence order, so forwarding
-        // the original target verbatim is byte-identical to the
-        // split/merge below — minus its parse and thread-scope cost.
-        if n == 1 {
-            return self.proxy(0, &target, incoming);
-        }
-        let Some(raw) = req.query_param("steamids") else {
-            return self.proxy(0, &target, incoming);
-        };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return self.proxy(0, &target, incoming);
-        }
-        // Deduplicate in first-occurrence order, exactly as the shards (and
-        // the unsharded service) do — the merge below walks this list.
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let Ok(id) = s.parse::<SteamId>() else {
-                return self.proxy(0, &target, incoming);
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
         let mut per_shard: Vec<Vec<SteamId>> = vec![Vec::new(); n];
         for &id in &ids {
             per_shard[shard_of(id, n)].push(id);
@@ -335,11 +267,11 @@ impl RouterService {
             .iter()
             .enumerate()
             .filter(|(_, ids)| !ids.is_empty())
-            .map(|(shard, ids)| (shard, Self::subbatch_target(req, ids)))
+            .map(|(shard, ids)| (shard, Self::target(req, Some(ids))))
             .collect();
         if parts.is_empty() {
             // No ids at all: any shard serves the canonical empty response.
-            return self.proxy(0, &target, incoming);
+            return self.proxy(0, target, incoming);
         }
         if parts.len() == 1 {
             return self.proxy(parts[0].0, &parts[0].1, incoming);
@@ -396,12 +328,38 @@ impl Handler for RouterService {
             return Response::error(400, "only GET is supported");
         }
         let incoming = req.header(TRACE_HEADER).and_then(TraceContext::parse);
-        if req.path == "/ISteamUser/GetPlayerSummaries/v2" {
-            return self.route_summaries(&req, incoming);
+        let target = Self::target(&req, None);
+        let n = self.shards.len();
+        // A single-shard fleet forwards everything verbatim: every entity
+        // hashes to shard 0, and the shard de-duplicates a batch in the
+        // same first-occurrence order, so parsing here could only
+        // reproduce the request we already have.
+        if n == 1 {
+            return self.proxy(0, &target, incoming);
         }
-        let shard = self.pick_shard(&req);
-        let target = Self::rebuild_target(&req);
+        // Requests the shards would reject (bad parameters, unknown paths)
+        // go whole to shard 0, whose error response is byte-identical to
+        // any other's — and to the unsharded service's. The replicated app
+        // list and `/debug/*` are answered by shard 0 for the fleet.
+        let shard = match Endpoint::parse(&req) {
+            Some(Endpoint::Summaries(ids)) => {
+                return self.route_summaries(&req, ids, &target, incoming)
+            }
+            Some(
+                Endpoint::FriendList(id)
+                | Endpoint::OwnedGames(id)
+                | Endpoint::GroupList(id)
+                | Endpoint::Panel(id),
+            ) => shard_of(id, n),
+            Some(Endpoint::AppDetails(app) | Endpoint::Achievements(app)) => shard_of_app(app, n),
+            Some(Endpoint::GroupPage(gid)) => shard_of_group(gid, n),
+            Some(Endpoint::AppList | Endpoint::DebugCache | Endpoint::DebugLimiter) | None => 0,
+        };
         self.proxy(shard, &target, incoming)
+    }
+
+    fn endpoint_label(&self, req: &Request) -> Cow<'static, str> {
+        Cow::Borrowed(endpoint::label(&req.path))
     }
 }
 

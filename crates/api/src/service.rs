@@ -1,24 +1,37 @@
-//! The emulated Steam Web API service.
+//! The emulated Steam Web API service: one [`Service`] over a [`Store`].
 //!
-//! Serves a [`Snapshot`] through the endpoint surface the paper crawled
-//! (§3.1), with per-key token-bucket rate limiting in the spirit of Valve's
-//! terms of service:
+//! Serves the endpoint surface the paper crawled (§3.1), with per-key
+//! token-bucket rate limiting in the spirit of Valve's terms of service.
+//! Every endpoint accepts Steam's zero-padded version spelling and one
+//! trailing slash (the route table is in `endpoint.rs`):
 //!
-//! | Endpoint | Notes |
-//! |---|---|
-//! | `/ISteamUser/GetPlayerSummaries/v2?key=..&steamids=a,b,…` | ≤ 100 ids per call (this is why the paper's phase 1 was fast) |
-//! | `/ISteamUser/GetFriendList/v1?key=..&steamid=..` | one user per call |
-//! | `/IPlayerService/GetOwnedGames/v1?key=..&steamid=..` | one user per call |
-//! | `/ISteamUser/GetUserGroupList/v1?key=..&steamid=..` | one user per call |
-//! | `/ISteamApps/GetAppList/v2` | the unpublicized app-list endpoint |
-//! | `/api/appdetails?appids=..` | storefront shape, one product per call |
-//! | `/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid=..` | |
-//! | `/community/group/<gid>` | group-page scrape analog (name + kind) |
+//! | Endpoint | Also accepted | Notes |
+//! |---|---|---|
+//! | `/ISteamUser/GetPlayerSummaries/v2?key=..&steamids=a,b,…` | `v0002`, `v2/`, `v0002/` | ≤ 100 ids per call (this is why the paper's phase 1 was fast) |
+//! | `/ISteamUser/GetFriendList/v1?key=..&steamid=..` | `v0001`, `v1/`, `v0001/` | one user per call |
+//! | `/IPlayerService/GetOwnedGames/v1?key=..&steamid=..` | `v0001`, `v1/`, `v0001/` | one user per call |
+//! | `/ISteamUser/GetUserGroupList/v1?key=..&steamid=..` | `v0001`, `v1/`, `v0001/` | one user per call |
+//! | `/ISteamApps/GetAppList/v2` | `v0002`, `v2/`, `v0002/` | the unpublicized app-list endpoint |
+//! | `/api/appdetails?appids=..` | `/api/appdetails/` | storefront shape, one product per call |
+//! | `/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid=..` | `v0002`, `v2/`, `v0002/` | |
+//! | `/community/group/<gid>` | `<gid>/` | group-page scrape analog (name + kind) |
+//!
+//! The same handlers serve two stores: [`SnapshotStore`] (a whole
+//! [`Snapshot`], the unsharded [`ApiService`]) and a pre-resolved
+//! [`ShardStore`] (one shard of a split fleet, [`ShardService`]).
+//! Byte identity between them is the [`Store`] contract: both answer every
+//! record in the same serve order.
+//!
+//! [`ShardStore`]: crate::shard::ShardStore
+//! [`ShardService`]: crate::shard::ShardService
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use steam_model::{AppId, SimTime, Snapshot, SteamId, WeekPanel};
+use steam_model::{
+    Account, AppId, Game, Group, GroupId, OwnedGame, SimTime, Snapshot, SteamId, WeekPanel,
+};
 use steam_net::http::{Request, Response};
 use steam_net::ratelimit::KeyedLimiter;
 use steam_net::server::{Handler, HttpServer};
@@ -26,10 +39,10 @@ use steam_net::NetError;
 use steam_obs::Gauge;
 
 use crate::cache::{CacheKey, WireCache};
+use crate::endpoint::{label, Endpoint, Route};
 use crate::wire;
 
-/// Maximum Steam IDs accepted by the batch profile endpoint.
-pub const MAX_BATCH_IDS: usize = 100;
+pub use crate::endpoint::MAX_BATCH_IDS;
 
 /// Rate-limit configuration for the service.
 #[derive(Clone, Copy, Debug)]
@@ -48,63 +61,132 @@ impl Default for RateLimit {
     }
 }
 
-/// The API service state. Wrap in [`Arc`] and serve with [`serve`].
-pub struct ApiService {
+/// The records a [`Service`] serves. Account `i` is `accounts()[i]`; every
+/// list comes back in the order the unsharded service serves it
+/// (friends by ascending global account index, groups by ascending global
+/// group index), which is what makes two stores of the same world serve
+/// the same bytes.
+pub trait Store: Send + Sync + 'static {
+    fn accounts(&self) -> &[Account];
+    /// Account `i`'s friends as `(id, since)` pairs.
+    fn friends(&self, i: u32) -> Cow<'_, [(SteamId, SimTime)]>;
+    fn games(&self, i: u32) -> &[OwnedGame];
+    /// Account `i`'s groups.
+    fn group_ids(&self, i: u32) -> Cow<'_, [GroupId]>;
+    fn groups(&self) -> &[Group];
+    fn catalog(&self) -> &[Game];
+    /// The `shard` label of the service's gauges; `None` when unsharded.
+    fn shard(&self) -> Option<u32> {
+        None
+    }
+}
+
+/// A whole snapshot. Friend and group ids are resolved when a response is
+/// built, so the store adds only an index adjacency to the caller's
+/// snapshot, never a copy of its records.
+pub struct SnapshotStore {
     snapshot: Arc<Snapshot>,
+    /// Per account: `(friend index, since)` in serve order.
+    adjacency: Vec<Vec<(u32, SimTime)>>,
+}
+
+/// Per account, both directions of every friendship edge as
+/// `(friend index, since)`, stably sorted by friend index: the serve order.
+pub(crate) fn adjacency(snapshot: &Snapshot) -> Vec<Vec<(u32, SimTime)>> {
+    let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); snapshot.n_users()];
+    for e in &snapshot.friendships {
+        adjacency[e.a as usize].push((e.b, e.created_at));
+        adjacency[e.b as usize].push((e.a, e.created_at));
+    }
+    for list in &mut adjacency {
+        list.sort_by_key(|(v, _)| *v);
+    }
+    adjacency
+}
+
+impl Store for SnapshotStore {
+    fn accounts(&self) -> &[Account] {
+        &self.snapshot.accounts
+    }
+
+    fn friends(&self, i: u32) -> Cow<'_, [(SteamId, SimTime)]> {
+        let accounts = &self.snapshot.accounts;
+        let resolve = |&(v, since): &(u32, SimTime)| (accounts[v as usize].id, since);
+        self.adjacency[i as usize].iter().map(resolve).collect()
+    }
+
+    fn games(&self, i: u32) -> &[OwnedGame] {
+        &self.snapshot.ownerships[i as usize]
+    }
+
+    fn group_ids(&self, i: u32) -> Cow<'_, [GroupId]> {
+        let groups = &self.snapshot.groups;
+        self.snapshot.memberships[i as usize].iter().map(|&g| groups[g as usize].id).collect()
+    }
+
+    fn groups(&self) -> &[Group] {
+        &self.snapshot.groups
+    }
+
+    fn catalog(&self) -> &[Game] {
+        &self.snapshot.catalog
+    }
+}
+
+/// The API service over store `S`. Wrap in [`Arc`] and serve with
+/// [`serve_service_config`].
+pub struct Service<S> {
+    store: S,
     /// Sharded per-key token buckets, bounded with idle-key LRU eviction
     /// (an adversary cycling random `key=` values can no longer grow the
     /// map without bound).
     limiter: KeyedLimiter,
-    /// Cached serialized response bodies — safe because the snapshot is
+    /// Cached serialized response bodies — safe because the store is
     /// immutable; `None` only for baseline benchmarking (`--no-cache`).
     cache: Option<WireCache>,
     /// Live limiter-key gauge, bound when a metrics registry is attached.
     limiter_keys: OnceLock<Arc<Gauge>>,
-    /// index of account by steam id
     by_id: HashMap<SteamId, u32>,
-    /// adjacency: per user, (friend index, since)
-    adjacency: Vec<Vec<(u32, SimTime)>>,
-    /// app id -> catalog index
     app_index: HashMap<AppId, u32>,
-    /// group id -> group index (the community-page endpoint is hit once per
-    /// group by the crawler; a scan per hit would be quadratic overall)
-    group_index: HashMap<u32, u32>,
+    /// The community-page endpoint is hit once per group by the crawler; a
+    /// scan per hit would be quadratic overall.
+    group_index: HashMap<GroupId, u32>,
     /// Optional week panel served at `/reproduction/panel` (the Figure 12
     /// sample, pre-aggregated as the paper's daily queries would have
-    /// produced it).
+    /// produced it), with its row per account index.
     panel: Option<(WeekPanel, HashMap<u32, usize>)>,
 }
 
+/// The unsharded service over a whole snapshot.
+pub type ApiService = Service<SnapshotStore>;
+
 impl ApiService {
     pub fn new(snapshot: Arc<Snapshot>, limits: RateLimit) -> Self {
-        let by_id: HashMap<SteamId, u32> = snapshot
-            .accounts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.id, i as u32))
-            .collect();
-        let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); snapshot.n_users()];
-        for e in &snapshot.friendships {
-            adjacency[e.a as usize].push((e.b, e.created_at));
-            adjacency[e.b as usize].push((e.a, e.created_at));
-        }
-        for list in &mut adjacency {
-            list.sort_by_key(|(v, _)| *v);
-        }
-        let app_index = snapshot.catalog_index();
-        let group_index = snapshot
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.id.0, i as u32))
-            .collect();
-        ApiService {
-            snapshot,
+        let adjacency = adjacency(&snapshot);
+        Service::with_store(SnapshotStore { snapshot, adjacency }, limits)
+    }
+
+    /// Attaches a week panel; enables the `/reproduction/panel` endpoint.
+    pub fn with_panel(mut self, panel: WeekPanel) -> Self {
+        let index = panel.users.iter().enumerate().map(|(row, &u)| (u, row)).collect();
+        self.panel = Some((panel, index));
+        self
+    }
+}
+
+impl<S: Store> Service<S> {
+    pub(crate) fn with_store(store: S, limits: RateLimit) -> Self {
+        let by_id = store.accounts().iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
+        let app_index =
+            store.catalog().iter().enumerate().map(|(i, g)| (g.app_id, i as u32)).collect();
+        let group_index =
+            store.groups().iter().enumerate().map(|(i, g)| (g.id, i as u32)).collect();
+        Service {
+            store,
             limiter: KeyedLimiter::new(limits.per_key_rps, limits.burst),
             cache: Some(WireCache::new()),
             limiter_keys: OnceLock::new(),
             by_id,
-            adjacency,
             app_index,
             group_index,
             panel: None,
@@ -123,36 +205,17 @@ impl ApiService {
         self.cache.as_ref()
     }
 
-    /// Live per-key rate-limit buckets (bounded — see [`KeyedLimiter`]).
-    pub fn rate_limiter_keys(&self) -> usize {
-        self.limiter.len()
-    }
-
     /// Binds cache hit/miss counters and the `api_rate_limiter_keys` gauge
-    /// to `registry`. Called automatically by the `serve_*` helpers when a
-    /// registry is passed.
+    /// to `registry` — labeled with the shard index when the store is one
+    /// shard, so a fleet scraping into one place stays tellable apart.
+    /// Called by [`serve_service_config`] when a registry is passed.
     pub fn attach_registry(&self, registry: &steam_obs::Registry) {
         if let Some(cache) = &self.cache {
             cache.attach_registry(registry);
         }
-        let _ = self.limiter_keys.set(registry.gauge("api_rate_limiter_keys", &[]));
-    }
-
-    /// Attaches a week panel; enables the `/reproduction/panel` endpoint.
-    pub fn with_panel(mut self, panel: WeekPanel) -> Self {
-        let index = panel
-            .users
-            .iter()
-            .enumerate()
-            .map(|(row, &u)| (u, row))
-            .collect();
-        self.panel = Some((panel, index));
-        self
-    }
-
-    /// The snapshot being served.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
+        let shard = self.store.shard().map(|i| i.to_string());
+        let labels: Vec<(&str, &str)> = shard.iter().map(|s| ("shard", s.as_str())).collect();
+        let _ = self.limiter_keys.set(registry.gauge("api_rate_limiter_keys", &labels));
     }
 
     fn check_rate(&self, req: &Request) -> Result<(), Response> {
@@ -190,162 +253,99 @@ impl ApiService {
         }
     }
 
-    fn user_index(&self, req: &Request) -> Result<u32, Response> {
-        let raw = match req.query_param("steamid") {
-            Some(raw) => raw,
-            None => return Err(Response::error(400, "missing steamid")),
-        };
-        let id: SteamId = match raw.parse() {
-            Ok(id) => id,
-            Err(_) => return Err(Response::error(400, "malformed steamid")),
-        };
-        match self.by_id.get(&id) {
-            Some(&idx) => Ok(idx),
-            None => Err(Response::error(404, "no such account")),
-        }
+    fn account(&self, id: SteamId) -> Result<u32, Response> {
+        self.by_id.get(&id).copied().ok_or_else(|| Response::error(404, "no such account"))
     }
 
-    fn get_player_summaries(&self, req: &Request) -> Response {
-        let raw = match req.query_param("steamids") {
-            Some(raw) => raw,
-            None => return Response::error(400, "missing steamids"),
-        };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return Response::error(400, "too many steamids (max 100)");
-        }
-        // Parse before keying: the cache key is the decoded, order-preserving
-        // id list with duplicates collapsed, so equivalent batches that
-        // differ only in percent-encoding, empty segments (`a,,b`), or
-        // repeated ids share one entry — and the router's re-batched
-        // sub-requests hit entries a direct crawl warmed.
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let id: SteamId = match s.parse() {
-                Ok(id) => id,
-                Err(_) => return Response::error(400, "malformed steamid"),
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
+    fn app(&self, app: AppId) -> Result<u32, Response> {
+        self.app_index.get(&app).copied().ok_or_else(|| Response::error(404, "unknown app"))
+    }
+
+    /// Answers a validated request.
+    fn answer(&self, endpoint: Endpoint) -> Result<Response, Response> {
+        let s = &self.store;
+        Ok(match endpoint {
+            Endpoint::Summaries(ids) => {
+                // Keyed by the parsed id list, so equivalent batches that
+                // differ only in percent-encoding, empty segments (`a,,b`),
+                // or repeated ids share one entry — and the router's
+                // re-batched sub-requests hit entries a direct crawl warmed.
+                let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
+                self.cached(key, || {
+                    // Unknown ids are silently absent from the response,
+                    // exactly how the crawler discovers the ID space's
+                    // density (§3.1).
+                    let found: Vec<&Account> = ids
+                        .iter()
+                        .filter_map(|id| self.by_id.get(id))
+                        .map(|&i| &s.accounts()[i as usize])
+                        .collect();
+                    wire::player_summaries_response(&found).to_text()
+                })
             }
-        }
-        let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
-        if let Some(cache) = &self.cache {
-            if let Some(body) = cache.lookup(&key) {
-                return Response::json_bytes(body.as_ref().clone());
+            Endpoint::FriendList(id) => {
+                let i = self.account(id)?;
+                self.cached(CacheKey::Friends(i), || {
+                    wire::friend_list_response(&s.friends(i)).to_text()
+                })
             }
-        }
-        let mut found = Vec::new();
-        for id in ids {
-            // Unknown ids are silently absent from the response, exactly how
-            // the crawler discovers the ID space's density (§3.1).
-            if let Some(&idx) = self.by_id.get(&id) {
-                found.push(&self.snapshot.accounts[idx as usize]);
+            Endpoint::OwnedGames(id) => {
+                let i = self.account(id)?;
+                self.cached(CacheKey::Games(i), || wire::owned_games_response(s.games(i)).to_text())
             }
-        }
-        let text = wire::player_summaries_response(&found).to_text();
-        match &self.cache {
-            Some(cache) => {
-                let bytes = text.into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
+            Endpoint::GroupList(id) => {
+                let i = self.account(id)?;
+                self.cached(CacheKey::Groups(i), || {
+                    wire::group_list_response(&s.group_ids(i)).to_text()
+                })
             }
-            None => Response::json(text),
-        }
-    }
-
-    fn get_friend_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Friends(idx), || {
-            let friends: Vec<(SteamId, SimTime)> = self.adjacency[idx as usize]
-                .iter()
-                .map(|&(v, since)| (self.snapshot.accounts[v as usize].id, since))
-                .collect();
-            wire::friend_list_response(&friends).to_text()
+            Endpoint::AppList => {
+                self.cached(CacheKey::AppList, || wire::app_list_response(s.catalog()).to_text())
+            }
+            Endpoint::AppDetails(app) => {
+                let gi = self.app(app)?;
+                self.cached(CacheKey::AppDetails(gi), || {
+                    wire::app_details_response(&s.catalog()[gi as usize]).to_text()
+                })
+            }
+            Endpoint::Achievements(app) => {
+                let gi = self.app(app)?;
+                self.cached(CacheKey::Achievements(gi), || {
+                    let game = &s.catalog()[gi as usize];
+                    wire::achievement_percentages_response(&game.achievements).to_text()
+                })
+            }
+            Endpoint::Panel(id) => {
+                let Some((panel, index)) = &self.panel else { return Err(no_panel()) };
+                let i = self.account(id)?;
+                let Some(&row) = index.get(&i) else {
+                    return Err(Response::error(404, "user not in the panel sample"));
+                };
+                self.cached(CacheKey::Panel(row as u32), || {
+                    wire::panel_response(&panel.daily_minutes[row]).to_text()
+                })
+            }
+            Endpoint::GroupPage(gid) => {
+                let Some(&gi) = self.group_index.get(&gid) else {
+                    return Err(Response::error(404, "unknown group"));
+                };
+                self.cached(CacheKey::GroupPage(gi), || {
+                    wire::group_page_response(&s.groups()[gi as usize]).to_text()
+                })
+            }
+            Endpoint::DebugCache => self.debug_cache(),
+            Endpoint::DebugLimiter => Response::json(format!(
+                "{{\"keys\":{},\"max_keys\":{}}}",
+                self.limiter.len(),
+                self.limiter.capacity()
+            )),
         })
-    }
-
-    fn get_owned_games(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Games(idx), || {
-            wire::owned_games_response(&self.snapshot.ownerships[idx as usize]).to_text()
-        })
-    }
-
-    fn get_group_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Groups(idx), || {
-            let gids: Vec<steam_model::GroupId> = self.snapshot.memberships[idx as usize]
-                .iter()
-                .map(|&g| self.snapshot.groups[g as usize].id)
-                .collect();
-            wire::group_list_response(&gids).to_text()
-        })
-    }
-
-    fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || {
-            wire::app_list_response(&self.snapshot.catalog).to_text()
-        })
-    }
-
-    fn get_app_details(&self, req: &Request) -> Response {
-        let app = match req.query_param("appids").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed appids"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::AppDetails(gi), || {
-                wire::app_details_response(&self.snapshot.catalog[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_achievements(&self, req: &Request) -> Response {
-        let app = match req.query_param("gameid").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed gameid"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::Achievements(gi), || {
-                wire::achievement_percentages_response(
-                    &self.snapshot.catalog[gi as usize].achievements,
-                )
-                .to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_panel(&self, req: &Request) -> Response {
-        let Some((panel, index)) = &self.panel else {
-            return Response::error(404, "no panel attached to this service");
-        };
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        match index.get(&idx) {
-            Some(&row) => self.cached(CacheKey::Panel(row as u32), || {
-                wire::panel_response(&panel.daily_minutes[row]).to_text()
-            }),
-            None => Response::error(404, "user not in the panel sample"),
-        }
     }
 
     /// `GET /debug/cache` — wire-cache occupancy and hit/miss totals. Like
-    /// `/metrics`, this is operational: never rate-limited, never faulted,
-    /// never traced (the server's dispatcher guarantees the latter two).
+    /// `/metrics`, the `/debug/*` endpoints are operational: never
+    /// rate-limited, never faulted, never traced (the server's dispatcher
+    /// guarantees the latter two).
     fn debug_cache(&self) -> Response {
         let body = match &self.cache {
             Some(cache) => format!(
@@ -360,61 +360,35 @@ impl ApiService {
         };
         Response::json(body)
     }
-
-    /// `GET /debug/limiter` — live rate-limiter key count against its bound.
-    fn debug_limiter(&self) -> Response {
-        Response::json(format!(
-            "{{\"keys\":{},\"max_keys\":{}}}",
-            self.limiter.len(),
-            self.limiter.capacity()
-        ))
-    }
-
-    fn get_group_page(&self, gid_str: &str) -> Response {
-        let gid: u32 = match gid_str.parse() {
-            Ok(g) => g,
-            Err(_) => return Response::error(400, "malformed gid"),
-        };
-        match self.group_index.get(&gid) {
-            Some(&gi) => self.cached(CacheKey::GroupPage(gi), || {
-                wire::group_page_response(&self.snapshot.groups[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown group"),
-        }
-    }
 }
 
-impl Handler for ApiService {
+fn no_panel() -> Response {
+    Response::error(404, "no panel attached to this service")
+}
+
+impl<S: Store> Handler for Service<S> {
     fn handle(&self, req: Request) -> Response {
         if req.method != "GET" {
             return Response::error(400, "only GET is supported");
         }
+        let route = Route::of(&req.path);
         // Introspection answers before rate limiting: an operator debugging
         // a throttled crawl must not be throttled out of the debugger.
-        match req.path.as_str() {
-            "/debug/cache" => return self.debug_cache(),
-            "/debug/limiter" => return self.debug_limiter(),
-            _ => {}
-        }
-        if let Err(resp) = self.check_rate(&req) {
-            return resp;
-        }
-        if let Some(gid) = req.path.strip_prefix("/community/group/") {
-            return self.get_group_page(gid);
-        }
-        match req.path.as_str() {
-            "/ISteamUser/GetPlayerSummaries/v2" => self.get_player_summaries(&req),
-            "/ISteamUser/GetFriendList/v1" => self.get_friend_list(&req),
-            "/IPlayerService/GetOwnedGames/v1" => self.get_owned_games(&req),
-            "/ISteamUser/GetUserGroupList/v1" => self.get_group_list(&req),
-            "/ISteamApps/GetAppList/v2" => self.get_app_list(),
-            "/api/appdetails" => self.get_app_details(&req),
-            "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2" => {
-                self.get_achievements(&req)
+        if !matches!(route, Some(Route::DebugCache | Route::DebugLimiter)) {
+            if let Err(resp) = self.check_rate(&req) {
+                return resp;
             }
-            "/reproduction/panel" => self.get_panel(&req),
-            _ => Response::error(404, "unknown endpoint"),
         }
+        let endpoint = match route {
+            None => return Response::error(404, "unknown endpoint"),
+            Some(Route::Panel) if self.panel.is_none() => return no_panel(),
+            Some(route) => route.parse(&req),
+        };
+        endpoint.and_then(|e| self.answer(e)).unwrap_or_else(|resp| resp)
+    }
+
+    fn endpoint_label(&self, req: &Request) -> Cow<'static, str> {
+        Cow::Borrowed(label(&req.path))
     }
 }
 
@@ -429,66 +403,46 @@ pub fn serve(
     serve_service(ApiService::new(snapshot, limits), addr, workers)
 }
 
-/// Like [`serve`], with a metrics registry: the server records per-endpoint
-/// request/latency metrics and exposes `GET /metrics` + `GET /healthz`.
-pub fn serve_observed(
-    snapshot: Arc<Snapshot>,
-    addr: &str,
-    workers: usize,
-    limits: RateLimit,
-    registry: Arc<steam_obs::Registry>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_observed(ApiService::new(snapshot, limits), addr, workers, Some(registry))
-}
-
 /// Binds an HTTP server around a pre-built service (e.g. one with a week
 /// panel attached via [`ApiService::with_panel`]).
-pub fn serve_service(
-    service: ApiService,
+pub fn serve_service<S: Store>(
+    service: Service<S>,
     addr: &str,
     workers: usize,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_observed(service, addr, workers, None)
+) -> Result<(HttpServer, Arc<Service<S>>), NetError> {
+    serve_service_faulty(service, addr, workers, None, None)
 }
 
-/// [`serve_service`] with an optional metrics registry.
-pub fn serve_service_observed(
-    service: ApiService,
-    addr: &str,
-    workers: usize,
-    registry: Option<Arc<steam_obs::Registry>>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
-    serve_service_faulty(service, addr, workers, registry, None)
-}
-
-/// [`serve_service_observed`] with an optional fault injector: the server
-/// then misbehaves per the injector's seeded plan (drop connections, inject
-/// 5xx, truncate/corrupt bodies, stall) — see `steam_net::fault`.
-pub fn serve_service_faulty(
-    service: ApiService,
+/// [`serve_service`] with an optional metrics registry and an optional
+/// fault injector: the server then misbehaves per the injector's seeded
+/// plan (drop connections, inject 5xx, truncate/corrupt bodies, stall) —
+/// see `steam_net::fault`.
+pub fn serve_service_faulty<S: Store>(
+    service: Service<S>,
     addr: &str,
     workers: usize,
     registry: Option<Arc<steam_obs::Registry>>,
     faults: Option<Arc<steam_net::FaultInjector>>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
+) -> Result<(HttpServer, Arc<Service<S>>), NetError> {
     let config = steam_net::ServerConfig { workers, ..Default::default() };
     serve_service_config(service, addr, config, registry, faults)
 }
 
-/// The fully general entry point: every other `serve_*` delegates here.
-/// `config` picks the server mode ([`ServerMode::Epoll`] reactor vs
+/// The fully general entry point, for either store: every other `serve_*`
+/// delegates here (`serve_shard_config` is this function). `config` picks
+/// the server mode ([`ServerMode::Epoll`] reactor vs
 /// [`ServerMode::Threaded`] worker pool — both serve byte-identical
 /// responses) and the idle timeout.
 ///
 /// [`ServerMode::Epoll`]: steam_net::ServerMode::Epoll
 /// [`ServerMode::Threaded`]: steam_net::ServerMode::Threaded
-pub fn serve_service_config(
-    service: ApiService,
+pub fn serve_service_config<S: Store>(
+    service: Service<S>,
     addr: &str,
     config: steam_net::ServerConfig,
     registry: Option<Arc<steam_obs::Registry>>,
     faults: Option<Arc<steam_net::FaultInjector>>,
-) -> Result<(HttpServer, Arc<ApiService>), NetError> {
+) -> Result<(HttpServer, Arc<Service<S>>), NetError> {
     if let Some(registry) = &registry {
         service.attach_registry(registry);
     }
@@ -671,9 +625,9 @@ mod tests {
             assert_eq!(resp.status, 200);
         }
         assert!(
-            service.rate_limiter_keys() <= steam_net::ratelimit::DEFAULT_MAX_KEYS,
+            service.limiter.len() <= steam_net::ratelimit::DEFAULT_MAX_KEYS,
             "limiter holds {} keys, bound is {}",
-            service.rate_limiter_keys(),
+            service.limiter.len(),
             steam_net::ratelimit::DEFAULT_MAX_KEYS
         );
     }

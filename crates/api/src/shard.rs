@@ -1,4 +1,5 @@
-//! Sharded snapshot stores and the shard-side API service.
+//! Sharded snapshot stores, served by the same [`Service`] as a whole
+//! snapshot.
 //!
 //! A [`Snapshot`] cannot be cut into N servable pieces directly: its
 //! friendship edges are *account-index* pairs, and an edge endpoint usually
@@ -7,6 +8,12 @@
 //! each account's friend list becomes `(SteamId, since)` pairs in exactly
 //! the order [`ApiService`](crate::service::ApiService) would serve them —
 //! and writes one self-contained [`ShardStore`] per shard.
+//!
+//! A shard is served by [`ShardService`], which is [`Service`] over a
+//! [`ShardStore`]: the handlers, rate limiter and wire cache are the
+//! unsharded service's own. Because the store answers every list in serve
+//! order (the [`Store`] contract), a shard's response for an entity it owns
+//! is byte-identical to the unsharded one.
 //!
 //! Assignment is residue-class by SteamID: account `id` lives on shard
 //! `id.index() % n`, groups on `gid % n`, apps on `app_id % n` (the catalog
@@ -22,9 +29,9 @@
 //! bit-rotten shard file fails loudly at load time instead of serving
 //! silently wrong bytes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use steam_model::codec::{
@@ -34,15 +41,12 @@ use steam_model::codec::{
 use steam_model::{
     Account, AppId, Game, Group, GroupId, ModelError, OwnedGame, SimTime, Snapshot, SteamId,
 };
-use steam_net::http::{Request, Response};
-use steam_net::ratelimit::KeyedLimiter;
-use steam_net::server::{Handler, HttpServer};
-use steam_net::NetError;
-use steam_obs::Gauge;
 
-use crate::cache::{CacheKey, WireCache};
-use crate::service::{RateLimit, MAX_BATCH_IDS};
-use crate::wire;
+use crate::service::{adjacency, RateLimit, Service, Store};
+
+/// Binds a shard's server: [`serve_service_config`](crate::service::serve_service_config)
+/// under the name shard fleets are set up with.
+pub use crate::service::serve_service_config as serve_shard_config;
 
 /// Magic prefix of a shard store file.
 pub const SHARD_MAGIC: &[u8; 4] = b"CSHD";
@@ -95,16 +99,7 @@ pub struct ShardStore {
 /// from exactly the shard the router would ask.
 pub fn split_snapshot(snap: &Snapshot, n_shards: usize) -> Vec<ShardStore> {
     assert!(n_shards >= 1, "need at least one shard");
-    // Adjacency in service order: both edge directions, sorted by the
-    // friend's global account index (what ApiService serves).
-    let mut adjacency: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); snap.n_users()];
-    for e in &snap.friendships {
-        adjacency[e.a as usize].push((e.b, e.created_at));
-        adjacency[e.b as usize].push((e.a, e.created_at));
-    }
-    for list in &mut adjacency {
-        list.sort_by_key(|(v, _)| *v);
-    }
+    let adjacency = adjacency(snap);
     let mut shards: Vec<ShardStore> = (0..n_shards)
         .map(|i| ShardStore {
             shard_index: i as u32,
@@ -179,10 +174,6 @@ impl<'a> StreamSplitter<'a> {
             groups: reader.groups()?,
             catalog: reader.catalog()?,
         })
-    }
-
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
     }
 
     /// Builds shard `index` with four chunk passes (accounts, friendships,
@@ -348,6 +339,10 @@ pub fn encode_shard(s: &ShardStore) -> Bytes {
     buf.freeze()
 }
 
+fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32, ModelError> {
+    u32::try_from(get_varu64(buf)?).map_err(|_| ModelError::Codec(format!("{what} overflow")))
+}
+
 /// Deserializes a shard store written by [`encode_shard`].
 pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     if buf.remaining() < 5 || &buf.split_to(4)[..] != SHARD_MAGIC {
@@ -357,10 +352,8 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
     if version != SHARD_VERSION {
         return Err(ModelError::Codec(format!("unsupported shard version {version}")));
     }
-    let shard_index = u32::try_from(get_varu64(&mut buf)?)
-        .map_err(|_| ModelError::Codec("shard index overflow".into()))?;
-    let shard_count = u32::try_from(get_varu64(&mut buf)?)
-        .map_err(|_| ModelError::Codec("shard count overflow".into()))?;
+    let shard_index = get_u32(&mut buf, "shard index")?;
+    let shard_count = get_u32(&mut buf, "shard count")?;
     if shard_count == 0 || shard_index >= shard_count {
         return Err(ModelError::Codec(format!(
             "invalid shard header {shard_index}/{shard_count}"
@@ -388,28 +381,17 @@ pub fn decode_shard(mut buf: Bytes) -> Result<ShardStore, ModelError> {
         let ng = get_varu64(&mut accounts_buf)? as usize;
         let mut gl = Vec::with_capacity(ng);
         for _ in 0..ng {
-            let app_id = AppId(
-                u32::try_from(get_varu64(&mut accounts_buf)?)
-                    .map_err(|_| ModelError::Codec("app id overflow".into()))?,
-            );
-            let forever = u32::try_from(get_varu64(&mut accounts_buf)?)
-                .map_err(|_| ModelError::Codec("playtime overflow".into()))?;
-            let recent = u32::try_from(get_varu64(&mut accounts_buf)?)
-                .map_err(|_| ModelError::Codec("playtime overflow".into()))?;
             gl.push(OwnedGame {
-                app_id,
-                playtime_forever_min: forever,
-                playtime_2weeks_min: recent,
+                app_id: AppId(get_u32(&mut accounts_buf, "app id")?),
+                playtime_forever_min: get_u32(&mut accounts_buf, "playtime")?,
+                playtime_2weeks_min: get_u32(&mut accounts_buf, "playtime")?,
             });
         }
         games.push(gl);
         let nm = get_varu64(&mut accounts_buf)? as usize;
         let mut ml = Vec::with_capacity(nm);
         for _ in 0..nm {
-            ml.push(GroupId(
-                u32::try_from(get_varu64(&mut accounts_buf)?)
-                    .map_err(|_| ModelError::Codec("group id overflow".into()))?,
-            ));
+            ml.push(GroupId(get_u32(&mut accounts_buf, "group id")?));
         }
         member_gids.push(ml);
     }
@@ -454,308 +436,55 @@ pub fn read_shard(path: &Path) -> Result<ShardStore, ModelError> {
 
 // --- shard-side service -----------------------------------------------------
 
-/// Serves one [`ShardStore`] over the same endpoint surface as the
-/// unsharded [`ApiService`](crate::service::ApiService). Every response for
-/// an entity this shard owns is byte-identical to what the unsharded
-/// service would produce — the store carries references pre-resolved in
-/// service order precisely so this holds.
-pub struct ShardService {
-    store: ShardStore,
-    limiter: KeyedLimiter,
-    cache: Option<WireCache>,
-    limiter_keys: OnceLock<Arc<Gauge>>,
-    by_id: HashMap<SteamId, u32>,
-    app_index: HashMap<AppId, u32>,
-    group_index: HashMap<u32, u32>,
+impl Store for ShardStore {
+    fn accounts(&self) -> &[Account] {
+        &self.accounts
+    }
+
+    fn friends(&self, i: u32) -> Cow<'_, [(SteamId, SimTime)]> {
+        Cow::Borrowed(&self.friends[i as usize])
+    }
+
+    fn games(&self, i: u32) -> &[OwnedGame] {
+        &self.games[i as usize]
+    }
+
+    fn group_ids(&self, i: u32) -> Cow<'_, [GroupId]> {
+        Cow::Borrowed(&self.member_gids[i as usize])
+    }
+
+    fn groups(&self) -> &[Group] {
+        &self.groups
+    }
+
+    fn catalog(&self) -> &[Game] {
+        &self.catalog
+    }
+
+    fn shard(&self) -> Option<u32> {
+        Some(self.shard_index)
+    }
 }
+
+/// The API service over one [`ShardStore`]: the same [`Service`] as the
+/// unsharded [`ApiService`](crate::service::ApiService), so every response
+/// for an entity this shard owns is byte-identical to the unsharded one.
+pub type ShardService = Service<ShardStore>;
 
 impl ShardService {
     pub fn new(store: ShardStore, limits: RateLimit) -> Self {
-        let by_id =
-            store.accounts.iter().enumerate().map(|(i, a)| (a.id, i as u32)).collect();
-        let app_index =
-            store.catalog.iter().enumerate().map(|(i, g)| (g.app_id, i as u32)).collect();
-        let group_index =
-            store.groups.iter().enumerate().map(|(i, g)| (g.id.0, i as u32)).collect();
-        ShardService {
-            store,
-            limiter: KeyedLimiter::new(limits.per_key_rps, limits.burst),
-            cache: Some(WireCache::new()),
-            limiter_keys: OnceLock::new(),
-            by_id,
-            app_index,
-            group_index,
-        }
+        Service::with_store(store, limits)
     }
-
-    /// Disables the wire-response cache.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// The store being served.
-    pub fn store(&self) -> &ShardStore {
-        &self.store
-    }
-
-    /// Binds cache counters and the limiter gauge to `registry`, labeled
-    /// with this shard's index so a fleet scraping into one place stays
-    /// tellable apart.
-    pub fn attach_registry(&self, registry: &steam_obs::Registry) {
-        if let Some(cache) = &self.cache {
-            cache.attach_registry(registry);
-        }
-        let shard = self.store.shard_index.to_string();
-        let _ = self
-            .limiter_keys
-            .set(registry.gauge("api_rate_limiter_keys", &[("shard", shard.as_str())]));
-    }
-
-    fn check_rate(&self, req: &Request) -> Result<(), Response> {
-        let key = req.query_param("key").unwrap_or("anonymous");
-        let bucket = self.limiter.bucket(key);
-        if let Some(g) = self.limiter_keys.get() {
-            g.set(self.limiter.len() as i64);
-        }
-        if bucket.try_acquire() {
-            Ok(())
-        } else {
-            let secs = bucket.time_until_available().as_secs_f64().ceil().max(1.0) as u64;
-            Err(Response::error(429, "rate limit exceeded")
-                .with_header("Retry-After", &secs.to_string()))
-        }
-    }
-
-    fn cached(&self, key: CacheKey, build: impl FnOnce() -> String) -> Response {
-        match &self.cache {
-            Some(cache) => {
-                if let Some(body) = cache.lookup(&key) {
-                    return Response::json_bytes(body.as_ref().clone());
-                }
-                let bytes = build().into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
-            }
-            None => Response::json(build()),
-        }
-    }
-
-    fn user_index(&self, req: &Request) -> Result<u32, Response> {
-        let raw = match req.query_param("steamid") {
-            Some(raw) => raw,
-            None => return Err(Response::error(400, "missing steamid")),
-        };
-        let id: SteamId = match raw.parse() {
-            Ok(id) => id,
-            Err(_) => return Err(Response::error(400, "malformed steamid")),
-        };
-        match self.by_id.get(&id) {
-            Some(&idx) => Ok(idx),
-            None => Err(Response::error(404, "no such account")),
-        }
-    }
-
-    fn get_player_summaries(&self, req: &Request) -> Response {
-        let raw = match req.query_param("steamids") {
-            Some(raw) => raw,
-            None => return Response::error(400, "missing steamids"),
-        };
-        let segments: Vec<&str> = raw.split(',').filter(|s| !s.is_empty()).collect();
-        if segments.len() > MAX_BATCH_IDS {
-            return Response::error(400, "too many steamids (max 100)");
-        }
-        let mut ids: Vec<SteamId> = Vec::with_capacity(segments.len());
-        for s in segments {
-            let id: SteamId = match s.parse() {
-                Ok(id) => id,
-                Err(_) => return Response::error(400, "malformed steamid"),
-            };
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        let key = CacheKey::Summaries(ids.iter().map(|id| id.as_u64()).collect());
-        if let Some(cache) = &self.cache {
-            if let Some(body) = cache.lookup(&key) {
-                return Response::json_bytes(body.as_ref().clone());
-            }
-        }
-        let mut found = Vec::new();
-        for id in ids {
-            if let Some(&idx) = self.by_id.get(&id) {
-                found.push(&self.store.accounts[idx as usize]);
-            }
-        }
-        let text = wire::player_summaries_response(&found).to_text();
-        match &self.cache {
-            Some(cache) => {
-                let bytes = text.into_bytes();
-                cache.store(key, bytes.clone());
-                Response::json_bytes(bytes)
-            }
-            None => Response::json(text),
-        }
-    }
-
-    fn get_friend_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Friends(idx), || {
-            wire::friend_list_response(&self.store.friends[idx as usize]).to_text()
-        })
-    }
-
-    fn get_owned_games(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Games(idx), || {
-            wire::owned_games_response(&self.store.games[idx as usize]).to_text()
-        })
-    }
-
-    fn get_group_list(&self, req: &Request) -> Response {
-        let idx = match self.user_index(req) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        };
-        self.cached(CacheKey::Groups(idx), || {
-            wire::group_list_response(&self.store.member_gids[idx as usize]).to_text()
-        })
-    }
-
-    fn get_app_list(&self) -> Response {
-        self.cached(CacheKey::AppList, || {
-            wire::app_list_response(&self.store.catalog).to_text()
-        })
-    }
-
-    fn get_app_details(&self, req: &Request) -> Response {
-        let app = match req.query_param("appids").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed appids"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::AppDetails(gi), || {
-                wire::app_details_response(&self.store.catalog[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_achievements(&self, req: &Request) -> Response {
-        let app = match req.query_param("gameid").and_then(|s| s.parse::<u32>().ok()) {
-            Some(a) => AppId(a),
-            None => return Response::error(400, "missing or malformed gameid"),
-        };
-        match self.app_index.get(&app) {
-            Some(&gi) => self.cached(CacheKey::Achievements(gi), || {
-                wire::achievement_percentages_response(
-                    &self.store.catalog[gi as usize].achievements,
-                )
-                .to_text()
-            }),
-            None => Response::error(404, "unknown app"),
-        }
-    }
-
-    fn get_group_page(&self, gid_str: &str) -> Response {
-        let gid: u32 = match gid_str.parse() {
-            Ok(g) => g,
-            Err(_) => return Response::error(400, "malformed gid"),
-        };
-        match self.group_index.get(&gid) {
-            Some(&gi) => self.cached(CacheKey::GroupPage(gi), || {
-                wire::group_page_response(&self.store.groups[gi as usize]).to_text()
-            }),
-            None => Response::error(404, "unknown group"),
-        }
-    }
-
-    fn debug_cache(&self) -> Response {
-        let body = match &self.cache {
-            Some(cache) => format!(
-                "{{\"enabled\":true,\"entries\":{},\"capacity\":{},\"hits\":{},\"misses\":{}}}",
-                cache.len(),
-                cache.capacity(),
-                cache.hits(),
-                cache.misses()
-            ),
-            None => "{\"enabled\":false,\"entries\":0,\"capacity\":0,\"hits\":0,\"misses\":0}"
-                .to_string(),
-        };
-        Response::json(body)
-    }
-
-    fn debug_limiter(&self) -> Response {
-        Response::json(format!(
-            "{{\"keys\":{},\"max_keys\":{}}}",
-            self.limiter.len(),
-            self.limiter.capacity()
-        ))
-    }
-}
-
-impl Handler for ShardService {
-    fn handle(&self, req: Request) -> Response {
-        if req.method != "GET" {
-            return Response::error(400, "only GET is supported");
-        }
-        match req.path.as_str() {
-            "/debug/cache" => return self.debug_cache(),
-            "/debug/limiter" => return self.debug_limiter(),
-            _ => {}
-        }
-        if let Err(resp) = self.check_rate(&req) {
-            return resp;
-        }
-        if let Some(gid) = req.path.strip_prefix("/community/group/") {
-            return self.get_group_page(gid);
-        }
-        match req.path.as_str() {
-            "/ISteamUser/GetPlayerSummaries/v2" => self.get_player_summaries(&req),
-            "/ISteamUser/GetFriendList/v1" => self.get_friend_list(&req),
-            "/IPlayerService/GetOwnedGames/v1" => self.get_owned_games(&req),
-            "/ISteamUser/GetUserGroupList/v1" => self.get_group_list(&req),
-            "/ISteamApps/GetAppList/v2" => self.get_app_list(),
-            "/api/appdetails" => self.get_app_details(&req),
-            "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2" => {
-                self.get_achievements(&req)
-            }
-            // Shard stores carry no week panel; mirrors the unsharded
-            // service when none is attached.
-            "/reproduction/panel" => Response::error(404, "no panel attached to this service"),
-            _ => Response::error(404, "unknown endpoint"),
-        }
-    }
-}
-
-/// Binds an HTTP server serving one shard, with optional metrics registry
-/// and fault injector (same contract as the unsharded `serve_*` helpers).
-pub fn serve_shard_config(
-    service: ShardService,
-    addr: &str,
-    config: steam_net::ServerConfig,
-    registry: Option<Arc<steam_obs::Registry>>,
-    faults: Option<Arc<steam_net::FaultInjector>>,
-) -> Result<(HttpServer, Arc<ShardService>), NetError> {
-    if let Some(registry) = &registry {
-        service.attach_registry(registry);
-    }
-    let service = Arc::new(service);
-    let handler: Arc<dyn Handler> = Arc::clone(&service) as Arc<dyn Handler>;
-    let server = HttpServer::bind_config(addr, config, handler, registry, faults)?;
-    Ok((server, service))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::service::ApiService;
+    use steam_net::http::Request;
+    use steam_net::server::Handler;
     use steam_synth::{Generator, SynthConfig};
 
     fn tiny_snapshot() -> Arc<Snapshot> {
@@ -879,5 +608,72 @@ mod tests {
         for shard in &services {
             assert_eq!(ask(&unsharded, target).body, ask(shard, target).body);
         }
+
+        // Error paths: every shard — the owner of the named entity, and
+        // shard 0, where the router sends what it cannot parse — answers
+        // with the unsharded status and body.
+        let id = snap.accounts[0].id;
+        let ghost = SteamId::from_index(987_654_321);
+        let too_many: Vec<String> =
+            (0..101).map(|i| SteamId::from_index(i).to_string()).collect();
+        let missing_gid = snap.groups.iter().map(|g| g.id.0).max().unwrap() + 1;
+        let mut post = Request::get(&format!("/ISteamUser/GetFriendList/v1?steamid={id}"));
+        post.method = "POST".into();
+        let mut errors: Vec<Request> = [
+            "/ISteamUser/GetFriendList/v1".to_string(),
+            "/ISteamUser/GetFriendList/v1?steamid=banana".to_string(),
+            "/IPlayerService/GetOwnedGames/v1?steamid=".to_string(),
+            "/ISteamUser/GetPlayerSummaries/v2".to_string(),
+            "/ISteamUser/GetPlayerSummaries/v2?steamids=1,banana".to_string(),
+            format!("/ISteamUser/GetPlayerSummaries/v2?steamids={}", too_many.join(",")),
+            format!("/ISteamUser/GetUserGroupList/v1?steamid={ghost}"),
+            "/api/appdetails".to_string(),
+            "/api/appdetails?appids=99999999".to_string(),
+            "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2?gameid=99999999"
+                .to_string(),
+            format!("/community/group/{missing_gid}"),
+            "/community/group/banana".to_string(),
+            format!("/reproduction/panel?steamid={id}"),
+            "/reproduction/panel?steamid=banana".to_string(),
+            "/nope".to_string(),
+            format!("/ISteamUser/GetFriendList/v0002/?steamid={id}"),
+        ]
+        .iter()
+        .map(|t| Request::get(t))
+        .collect();
+        errors.push(post);
+        for req in &errors {
+            let want = unsharded.handle(req.clone());
+            assert!(want.status >= 400, "{} {}: {}", req.method, req.path, want.status);
+            for shard in &services {
+                let got = shard.handle(req.clone());
+                assert_eq!(got.status, want.status, "{} {}", req.method, req.path);
+                assert_eq!(got.body, want.body, "{} {}", req.method, req.path);
+            }
+        }
+
+        // A throttled key gets the same 429 and `Retry-After` from both.
+        let tight = RateLimit { per_key_rps: 0.001, burst: 1.0 };
+        let direct = ApiService::new(Arc::clone(&snap), tight);
+        let shard = ShardService::new(split_snapshot(&snap, n).swap_remove(2), tight);
+        let (direct_reg, shard_reg) = (steam_obs::Registry::new(), steam_obs::Registry::new());
+        direct.attach_registry(&direct_reg);
+        shard.attach_registry(&shard_reg);
+        for svc in [&direct as &dyn Handler, &shard] {
+            assert_eq!(ask(svc, target).status, 200);
+        }
+        let (a, b) = (ask(&direct, target), ask(&shard, target));
+        assert_eq!((a.status, &a.body), (429, &b.body));
+        assert_eq!(b.status, 429);
+        assert!(a.header("retry-after").is_some());
+        assert_eq!(a.header("retry-after"), b.header("retry-after"));
+
+        // The limiter gauge is unlabeled on a direct server and carries
+        // the shard index on a shard.
+        let direct_text = direct_reg.render_prometheus();
+        assert!(direct_text.contains("\napi_rate_limiter_keys 1\n"), "{direct_text}");
+        assert!(!direct_text.contains("api_rate_limiter_keys{"), "{direct_text}");
+        let shard_text = shard_reg.render_prometheus();
+        assert!(shard_text.contains("\napi_rate_limiter_keys{shard=\"2\"} 1\n"), "{shard_text}");
     }
 }

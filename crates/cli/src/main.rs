@@ -309,11 +309,8 @@ fn serve_forever(server: &steam_net::HttpServer) -> ! {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let path = args.get_or("snapshot", "snapshot.bin");
-    let addr = args.get_or("addr", "127.0.0.1:8571");
     let rps = args.get_parse("rps", 100_000.0)?;
     let limits = RateLimit { per_key_rps: rps, burst: (rps / 10.0).max(10.0) };
-    let registry = Arc::new(Registry::new());
-    let config = server_config(args);
 
     if let Some(spec) = args.get("shard") {
         // `--shard I/N`: --snapshot names a shard file from shard-split.
@@ -333,29 +330,30 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             store.accounts.len(),
             store.groups.len()
         );
-        let faults = parse_faults(args, &registry)?;
-        let mut service = steam_api::ShardService::new(store, limits);
-        if args.has("no-cache") {
-            eprintln!("wire-response cache disabled");
-            service = service.without_cache();
-        }
-        let (server, _service) =
-            steam_api::serve_shard_config(service, addr, config, Some(registry), faults)
-                .map_err(|e| e.to_string())?;
-        serve_forever(&server);
+        return serve_store(args, steam_api::ShardService::new(store, limits));
     }
-
     let snapshot =
         Arc::new(codec::read_snapshot(Path::new(path)).map_err(|e| e.to_string())?);
     eprintln!("serving {} users from {path}", snapshot.n_users());
+    serve_store(args, ApiService::new(snapshot, limits))
+}
+
+/// Serves either store with the flags both `serve` forms share.
+fn serve_store<S: steam_api::Store>(
+    args: &Args,
+    service: steam_api::Service<S>,
+) -> Result<(), String> {
+    let registry = Arc::new(Registry::new());
     let faults = parse_faults(args, &registry)?;
-    let mut service = ApiService::new(snapshot, limits);
-    if args.has("no-cache") {
+    let service = if args.has("no-cache") {
         eprintln!("wire-response cache disabled");
-        service = service.without_cache();
-    }
+        service.without_cache()
+    } else {
+        service
+    };
+    let addr = args.get_or("addr", "127.0.0.1:8571");
     let (server, _service) =
-        steam_api::serve_service_config(service, addr, config, Some(registry), faults)
+        steam_api::serve_service_config(service, addr, server_config(args), Some(registry), faults)
             .map_err(|e| e.to_string())?;
     serve_forever(&server);
 }

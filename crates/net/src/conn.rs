@@ -41,7 +41,7 @@ use crate::http::{
     read_request, write_response, write_response_truncated, Request, Response, MAX_HEADER_BYTES,
     MAX_LINE_BYTES,
 };
-use crate::server::{normalize_endpoint, Handler};
+use crate::server::{method_label, Handler};
 
 /// The server side of the observability layer: pre-registered instruments
 /// plus the registry itself (for `/metrics`).
@@ -76,7 +76,7 @@ impl ServerObs {
 #[derive(Default)]
 pub(crate) struct ObsCache {
     latency: HashMap<String, Arc<Histogram>>,
-    requests: HashMap<(String, String, u16), Arc<Counter>>,
+    requests: HashMap<(String, &'static str, u16), Arc<Counter>>,
 }
 
 impl ObsCache {
@@ -88,6 +88,7 @@ impl ObsCache {
         status: u16,
         elapsed: Duration,
     ) {
+        let req_method = method_label(req_method);
         self.latency
             .entry(endpoint.to_string())
             .or_insert_with(|| {
@@ -95,7 +96,7 @@ impl ObsCache {
             })
             .record_duration(elapsed);
         self.requests
-            .entry((endpoint.to_string(), req_method.to_string(), status))
+            .entry((endpoint.to_string(), req_method, status))
             .or_insert_with(|| {
                 obs.registry.counter(
                     "http_requests_total",
@@ -450,7 +451,7 @@ impl Dispatcher {
                 trace.parent,
                 SpanKind::Server,
                 "http",
-                &normalize_endpoint(&req.path),
+                &self.handler.endpoint_label(req),
             )
             .with_timing(now_us(), 0)
             .with_status(status)
@@ -488,7 +489,7 @@ impl Dispatcher {
                 Some(k @ (FaultKind::Status500 | FaultKind::Status503)) => {
                     let status = if k == FaultKind::Status500 { 500 } else { 503 };
                     if let Some(obs) = &self.obs {
-                        let endpoint = normalize_endpoint(&req.path);
+                        let endpoint = self.handler.endpoint_label(&req);
                         cache.record(obs, &req.method, &endpoint, status, Duration::ZERO);
                     }
                     if let Some(t) = &trace {
@@ -580,7 +581,7 @@ impl Dispatcher {
         if trace.is_none() && self.obs.is_none() {
             return self.handler.handle(req);
         }
-        let endpoint = normalize_endpoint(&req.path);
+        let endpoint = self.handler.endpoint_label(&req);
         let method = req.method.clone();
         if let Some(obs) = &self.obs {
             obs.in_flight.inc();

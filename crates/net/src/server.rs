@@ -33,9 +33,13 @@
 //! connection counter — and serves two operational endpoints of its own,
 //! `GET /metrics` (Prometheus text exposition) and `GET /healthz`, ahead of
 //! the application handler (so neither is subject to application-level rate
-//! limiting). Path segments that are purely numeric are normalized to `:id`
-//! in the `endpoint` label, keeping its cardinality bounded.
+//! limiting). The `endpoint` label is the handler's
+//! [`Handler::endpoint_label`] (by default the path with purely numeric
+//! segments normalized to `:id`) and the `method` label is the request's
+//! method token if it is a standard HTTP method and `other` if not, keeping
+//! the cardinality of both bounded.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::io::BufReader;
@@ -59,6 +63,13 @@ use crate::http::{read_request, write_response, write_response_truncated, Reques
 /// A request handler. Must be cheap to share across worker threads.
 pub trait Handler: Send + Sync + 'static {
     fn handle(&self, req: Request) -> Response;
+
+    /// The `endpoint` label `req` is counted, timed and traced under. It
+    /// must come from a bounded set, never from unbounded user data; the
+    /// default is [`normalize_endpoint`] of the path, for closure handlers.
+    fn endpoint_label(&self, req: &Request) -> Cow<'static, str> {
+        Cow::Owned(normalize_endpoint(&req.path))
+    }
 }
 
 impl<F> Handler for F
@@ -70,8 +81,17 @@ where
     }
 }
 
-/// Replaces purely numeric path segments with `:id`, so per-endpoint labels
-/// stay bounded (`/community/group/12345` → `/community/group/:id`).
+/// The `method` label of a request: the token itself for a standard HTTP
+/// method, `other` for anything else, so arbitrary tokens cannot grow the
+/// label set.
+pub(crate) fn method_label(method: &str) -> &'static str {
+    const STANDARD: [&str; 9] =
+        ["GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS", "TRACE", "PATCH"];
+    STANDARD.into_iter().find(|m| *m == method).unwrap_or("other")
+}
+
+/// Replaces purely numeric path segments with `:id` (`/community/group/12345`
+/// → `/community/group/:id`): the default [`Handler::endpoint_label`].
 pub fn normalize_endpoint(path: &str) -> String {
     let normalized: Vec<&str> = path
         .split('/')
