@@ -1209,12 +1209,11 @@ mod tests {
         assert_eq!(stats.profiles_found, original.n_users() as u64);
     }
 
-    /// Cross-version read-equivalence for crawl output: the CLI now lands
-    /// crawled snapshots in the chunked v3 container, but archives of v1
-    /// (and v2) crawl files must stay loadable — and all three containers
-    /// must decode to the same world.
+    /// File round trip for crawl output: the CLI lands crawled snapshots in
+    /// the v3 container, and reading the file back (fully or on several
+    /// workers) must reproduce the crawl byte-for-byte.
     #[test]
-    fn crawled_snapshot_round_trips_identically_through_every_container_version() {
+    fn crawled_snapshot_round_trips_identically_through_a_v3_file() {
         let original = tiny_world();
         let (server, _service) =
             serve(Arc::clone(&original), "127.0.0.1:0", 2, RateLimit::default()).unwrap();
@@ -1224,25 +1223,16 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("crawl-versions-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = dir.join("crawl-v1.bin");
-        let v2 = dir.join("crawl-v2.bin");
-        let v3 = dir.join("crawl-v3.bin");
-        steam_model::codec::write_snapshot(&v1, &crawled).unwrap();
-        steam_model::codec::write_snapshot_jobs(&v2, &crawled, 2).unwrap();
-        steam_model::codec::write_snapshot_v3(&v3, &crawled, 2).unwrap();
-        assert_eq!(steam_model::codec::snapshot_file_version(&v1).unwrap(), 1);
-        assert_eq!(
-            steam_model::codec::snapshot_file_version(&v3).unwrap(),
-            steam_model::codec::VERSION_CHUNKED
-        );
-        let baseline = steam_model::codec::encode_snapshot(&crawled).to_vec();
-        for path in [&v1, &v2, &v3] {
-            let read = steam_model::codec::read_snapshot(path).unwrap();
+        let path = dir.join("crawl-v3.bin");
+        steam_model::codec::write_snapshot_v3(&path, &crawled, 2).unwrap();
+        let baseline = steam_model::codec::encode_snapshot_v3(&crawled, 1);
+        assert_eq!(std::fs::read(&path).unwrap(), baseline.to_vec());
+        for jobs in [1, 3] {
+            let read = steam_model::codec::read_snapshot_jobs(&path, jobs).unwrap();
             assert_eq!(
-                steam_model::codec::encode_snapshot(&read).to_vec(),
+                steam_model::codec::encode_snapshot_v3(&read, 1),
                 baseline,
-                "container {:?} did not round-trip the crawl",
-                path.file_name()
+                "the v3 file did not round-trip the crawl at {jobs} jobs"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1379,8 +1369,8 @@ mod tests {
 
         // The reconstructed snapshot is byte-identical either way.
         assert_eq!(
-            steam_model::codec::encode_snapshot(&pooled),
-            steam_model::codec::encode_snapshot(&unpooled),
+            steam_model::codec::encode_snapshot_v3(&pooled, 1),
+            steam_model::codec::encode_snapshot_v3(&unpooled, 1),
             "pooling must not change the crawled bytes"
         );
         // The whole pooled crawl fits in pool-size sockets; the unpooled one
@@ -1500,8 +1490,8 @@ mod tests {
         let traced = crawl_with(true);
         let untraced = crawl_with(false);
         assert_eq!(
-            steam_model::codec::encode_snapshot(&traced),
-            steam_model::codec::encode_snapshot(&untraced),
+            steam_model::codec::encode_snapshot_v3(&traced, 1),
+            steam_model::codec::encode_snapshot_v3(&untraced, 1),
             "tracing must not change the crawled bytes"
         );
         // The server ran in-process, so the flight recorder holds both sides

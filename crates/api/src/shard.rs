@@ -24,8 +24,9 @@
 //! ids it does not own, tripping the crawler's consecutive-empty-batch stop
 //! rule long before the shard's own accounts begin.
 //!
-//! The on-disk format follows the v2 snapshot container idiom: magic +
-//! version + header, then per-section checksummed blocks, so a torn or
+//! The on-disk format is magic + version + header, then per-section
+//! checksummed blocks (the idiom of the retired v2 snapshot container, kept
+//! here because shard files are small and always read whole), so a torn or
 //! bit-rotten shard file fails loudly at load time instead of serving
 //! silently wrong bytes.
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use steam_model::codec::{decode_snapshot, encode_snapshot};
+use steam_model::codec::{decode_snapshot, encode_snapshot_v3};
 use steam_synth::{Generator, SynthConfig};
 
 fn bench_generation(c: &mut Criterion) {
@@ -49,9 +49,9 @@ fn bench_codec(c: &mut Criterion) {
     cfg.n_users = 20_000;
     cfg.n_groups = 600;
     let snap = Generator::new(cfg).generate();
-    let encoded = encode_snapshot(&snap);
+    let encoded = encode_snapshot_v3(&snap, 1);
     group.throughput(Throughput::Bytes(encoded.len() as u64));
-    group.bench_function("encode", |b| b.iter(|| black_box(encode_snapshot(&snap))));
+    group.bench_function("encode", |b| b.iter(|| black_box(encode_snapshot_v3(&snap, 1))));
     group.bench_function("decode", |b| {
         b.iter(|| black_box(decode_snapshot(encoded.clone()).unwrap()))
     });

@@ -142,15 +142,15 @@ fn main() {
     drop(cached_server);
 
     // The fast path must not change a single crawled byte.
-    let baseline_bytes = codec::encode_snapshot(&baseline_snap);
+    let baseline_bytes = codec::encode_snapshot_v3(&baseline_snap, 1);
     assert_eq!(
         baseline_bytes,
-        codec::encode_snapshot(&cold_snap),
+        codec::encode_snapshot_v3(&cold_snap, 1),
         "cold cached crawl diverged from baseline"
     );
     assert_eq!(
         baseline_bytes,
-        codec::encode_snapshot(&warm_snap),
+        codec::encode_snapshot_v3(&warm_snap, 1),
         "warm cached crawl diverged from baseline"
     );
     eprintln!("# snapshots byte-identical across baseline/cold/warm");
@@ -168,8 +168,8 @@ fn main() {
         let (on_snap, on) =
             crawl_once("traced", server.addr(), workers, false, true, &original);
         assert_eq!(
-            codec::encode_snapshot(&off_snap),
-            codec::encode_snapshot(&on_snap),
+            codec::encode_snapshot_v3(&off_snap, 1),
+            codec::encode_snapshot_v3(&on_snap, 1),
             "tracing changed the crawled bytes"
         );
         let overhead_pct =

@@ -1,12 +1,13 @@
 //! World-synthesis + snapshot-codec throughput benchmark: generates the same
-//! world serially and in parallel, encodes/decodes it through the v1 and v2
-//! (sectioned) containers, and reports users/sec and MB/sec for each,
-//! establishing the BENCH trajectory for the generate hot path.
+//! world serially and in parallel, encodes/decodes it through the v3
+//! container in memory at 1 and N jobs, writes it to a file and opens it
+//! for streaming, and reports users/sec and MB/sec for each, establishing
+//! the BENCH trajectory for the generate hot path.
 //!
-//! The parallel world must be byte-identical to the serial one, and the v2
-//! parallel encoding byte-identical to the v2 serial encoding — parallelism
-//! is not allowed to change a single output byte. On a single-core host the
-//! interesting number is parity, not speedup.
+//! The parallel world must be byte-identical to the serial one, and the
+//! in-memory encodings at 1 and N jobs and the streamed file must be the
+//! same bytes — parallelism is not allowed to change a single output byte.
+//! On a single-core host the interesting number is parity, not speedup.
 //!
 //! ```text
 //! cargo run --release -p steam-bench --bin gen_bench
@@ -79,10 +80,10 @@ fn main() {
     let synth_parallel =
         report_run("synth", jobs, start.elapsed().as_secs_f64(), users as f64, "users/s");
 
-    let v2_serial_bytes = codec::encode_snapshot_jobs(&serial_world.snapshot, 1);
+    let serial_bytes = codec::encode_snapshot_v3(&serial_world.snapshot, 1);
     assert_eq!(
-        v2_serial_bytes,
-        codec::encode_snapshot_jobs(&parallel_world.snapshot, 1),
+        serial_bytes,
+        codec::encode_snapshot_v3(&parallel_world.snapshot, 1),
         "parallel synthesis diverged from serial"
     );
     assert_eq!(
@@ -93,49 +94,45 @@ fn main() {
     eprintln!("# worlds byte-identical at jobs=1 and jobs={jobs}");
     drop(parallel_world);
     let snapshot = serial_world.snapshot;
-    let mb = v2_serial_bytes.len() as f64 / (1024.0 * 1024.0);
+    let mb = serial_bytes.len() as f64 / (1024.0 * 1024.0);
 
-    // --- encode: v1 serial, v2 serial, v2 parallel ---
+    // --- in-memory encode and decode, serial and parallel ---
     let start = Instant::now();
-    let v1_bytes = codec::encode_snapshot(&snapshot);
-    let enc_v1 = report_run("encode_v1", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
-
-    let start = Instant::now();
-    let check = codec::encode_snapshot_jobs(&snapshot, 1);
-    let enc_v2_serial = report_run("encode_v2", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let encoded = codec::encode_snapshot_v3(&snapshot, 1);
+    let enc_serial = report_run("encode_v3", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
 
     let start = Instant::now();
-    let v2_parallel_bytes = codec::encode_snapshot_jobs(&snapshot, jobs);
-    let enc_v2_parallel = report_run("encode_v2", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
-    assert_eq!(check, v2_parallel_bytes, "parallel v2 encoding diverged from serial");
-    eprintln!("# v2 encodings byte-identical at jobs=1 and jobs={jobs}");
+    let parallel_bytes = codec::encode_snapshot_v3(&snapshot, jobs);
+    let enc_parallel = report_run("encode_v3", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
+    assert_eq!(encoded, parallel_bytes, "parallel v3 encoding diverged from serial");
+    drop(parallel_bytes);
 
-    // --- decode: v1 serial, v2 serial, v2 parallel ---
     let start = Instant::now();
-    let d = codec::decode_snapshot(v1_bytes).expect("v1 decode");
-    let dec_v1 = report_run("decode_v1", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let d = codec::decode_snapshot_jobs(encoded.clone(), 1).expect("v3 decode");
+    let dec_serial = report_run("decode_v3", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
     assert_eq!(d.n_users(), snapshot.n_users());
+    drop(d);
 
     let start = Instant::now();
-    let d = codec::decode_snapshot_jobs(v2_serial_bytes.clone(), 1).expect("v2 decode");
-    let dec_v2_serial = report_run("decode_v2", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let d = codec::decode_snapshot_jobs(encoded.clone(), jobs).expect("v3 decode");
+    let dec_parallel = report_run("decode_v3", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
     assert_eq!(d.n_users(), snapshot.n_users());
+    drop(d);
 
-    let start = Instant::now();
-    let d = codec::decode_snapshot_jobs(v2_serial_bytes, jobs).expect("v2 decode");
-    let dec_v2_parallel = report_run("decode_v2", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
-    assert_eq!(d.n_users(), snapshot.n_users());
-
-    // --- v3: chunk-at-a-time file write, then a streaming open ---
+    // --- chunk-at-a-time file write, then a streaming open ---
     let v3_path = std::env::temp_dir().join(format!("gen-bench-v3-{}.snap", std::process::id()));
     let start = Instant::now();
     codec::write_snapshot_v3(&v3_path, &snapshot, jobs).expect("v3 write");
-    let enc_v3 = report_run("write_v3", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let write = report_run("write_v3", jobs, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let streamed = std::fs::read(&v3_path).expect("read back the v3 file");
+    assert!(streamed == encoded[..], "streamed v3 file diverged from the in-memory encoding");
+    drop(streamed);
+    eprintln!("# v3 bytes identical: in-memory at jobs=1 and jobs={jobs}, streamed file");
 
     let start = Instant::now();
     let reader = steam_model::SnapshotReader::open(&v3_path).expect("v3 open");
     assert_eq!(reader.n_users(), snapshot.n_users());
-    let dec_v3 = report_run("open_v3", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
+    let open = report_run("open_v3", 1, start.elapsed().as_secs_f64(), mb, "MB/s");
     drop(reader);
     std::fs::remove_file(&v3_path).ok();
 
@@ -156,21 +153,11 @@ fn main() {
         ),
         (
             "encode",
-            Json::Arr(vec![
-                enc_v1.to_json(),
-                enc_v2_serial.to_json(),
-                enc_v2_parallel.to_json(),
-                enc_v3.to_json(),
-            ]),
+            Json::Arr(vec![enc_serial.to_json(), enc_parallel.to_json(), write.to_json()]),
         ),
         (
             "decode",
-            Json::Arr(vec![
-                dec_v1.to_json(),
-                dec_v2_serial.to_json(),
-                dec_v2_parallel.to_json(),
-                dec_v3.to_json(),
-            ]),
+            Json::Arr(vec![dec_serial.to_json(), dec_parallel.to_json(), open.to_json()]),
         ),
         (
             "peak_rss_bytes",

@@ -131,7 +131,7 @@ COMMANDS
              --shards N        shard count (default 4)
              --out PREFIX      output prefix (default shard); writes
                                PREFIX-I-of-N.bin for each shard I
-             v3 snapshots are split by streaming chunk passes, one shard
+             The snapshot is split by streaming chunk passes, one shard
              at a time, so peak memory stays near one shard's size; the
              shard bytes are identical to an in-memory split
   route      Scatter-gather router over a shard fleet
@@ -178,7 +178,7 @@ COMMANDS
              --jobs N          worker threads for the report engine (default:
                                all cores; output is identical for any N)
              --in-memory       fully decode the snapshot before analysing.
-                               Chunked (v3) snapshots stream by default:
+                               Snapshots stream by default:
                                report passes decode one chunk at a time, so
                                peak memory stays bounded by the per-user
                                aggregate columns instead of the whole world.
@@ -377,23 +377,13 @@ fn cmd_shard_split(args: &Args) -> Result<(), String> {
         );
         Ok(())
     };
-    let version = codec::snapshot_file_version(p).map_err(|e| e.to_string())?;
-    if version == codec::VERSION_CHUNKED {
-        // v3: stream one shard at a time — peak memory is one shard's
-        // store plus the id column, never the whole world.
-        let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
-        let splitter =
-            steam_api::StreamSplitter::new(&reader, n).map_err(|e| e.to_string())?;
-        eprintln!("splitting {} users {n} ways (streaming)...", reader.n_users());
-        for i in 0..n {
-            write(&splitter.shard(i).map_err(|e| e.to_string())?)?;
-        }
-        return Ok(());
-    }
-    let snapshot = codec::read_snapshot(p).map_err(|e| e.to_string())?;
-    eprintln!("splitting {} users {n} ways...", snapshot.n_users());
-    for store in steam_api::split_snapshot(&snapshot, n) {
-        write(&store)?;
+    // Stream one shard at a time: peak memory is one shard's store plus the
+    // id column, never the whole world.
+    let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
+    let splitter = steam_api::StreamSplitter::new(&reader, n).map_err(|e| e.to_string())?;
+    eprintln!("splitting {} users {n} ways (streaming)...", reader.n_users());
+    for i in 0..n {
+        write(&splitter.shard(i).map_err(|e| e.to_string())?)?;
     }
     Ok(())
 }
@@ -592,29 +582,27 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 /// A snapshot opened for reporting: fully decoded, or left on disk behind a
-/// chunk-streaming reader (the bounded-memory path for v3 files).
+/// chunk-streaming reader (the bounded-memory path).
 enum Loaded {
     Mem(steam_model::Snapshot),
     Stream(steam_model::SnapshotReader),
 }
 
-/// Opens a snapshot for `report`. Chunked (v3) files stream by default —
-/// the report passes then decode one chunk at a time instead of
-/// materializing the world — unless `--in-memory` forces a full decode.
-/// v1/v2 files always decode fully.
+/// Opens a snapshot for `report`. Files stream by default — the report
+/// passes then decode one chunk at a time instead of materializing the
+/// world — unless `--in-memory` forces a full decode.
 fn load_for_report(path: &str, in_memory: bool, jobs: usize) -> Result<Loaded, String> {
     let p = Path::new(path);
-    let version = codec::snapshot_file_version(p).map_err(|e| e.to_string())?;
-    if version == codec::VERSION_CHUNKED && !in_memory {
-        let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
-        eprintln!(
-            "streaming {} users from {path} ({}; --in-memory forces a full decode)",
-            reader.n_users(),
-            if reader.is_mapped() { "mmap" } else { "pread" },
-        );
-        return Ok(Loaded::Stream(reader));
+    if in_memory {
+        return Ok(Loaded::Mem(codec::read_snapshot_jobs(p, jobs).map_err(|e| e.to_string())?));
     }
-    Ok(Loaded::Mem(codec::read_snapshot_jobs(p, jobs).map_err(|e| e.to_string())?))
+    let reader = steam_model::SnapshotReader::open(p).map_err(|e| e.to_string())?;
+    eprintln!(
+        "streaming {} users from {path} ({}; --in-memory forces a full decode)",
+        reader.n_users(),
+        if reader.is_mapped() { "mmap" } else { "pread" },
+    );
+    Ok(Loaded::Stream(reader))
 }
 
 fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {

@@ -137,6 +137,40 @@ fn validate_rejects_corrupt_snapshot() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // Files in the retired container versions 1 and 2 (here: a valid file
+    // with its version byte rewritten) fail every reading command with an
+    // error that names the version and says to regenerate.
+    let snap = dir.join("snap.bin");
+    let out = bin()
+        .args(["generate", "--users", "300", "--out", snap.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let clean = std::fs::read(&snap).unwrap();
+    for version in [1u8, 2] {
+        let old = dir.join(format!("v{version}.bin"));
+        let mut raw = clean.clone();
+        raw[4] = version;
+        std::fs::write(&old, &raw).unwrap();
+        let old = old.to_str().unwrap();
+        let shards = dir.join("shard");
+        let commands: [&[&str]; 4] = [
+            &["validate", "--snapshot", old],
+            &["report", "--snapshot", old, "--experiment", "table3"],
+            &["report", "--snapshot", old, "--experiment", "table3", "--in-memory"],
+            &["shard-split", "--snapshot", old, "--shards", "2", "--out", shards.to_str().unwrap()],
+        ];
+        for args in commands {
+            let out = bin().args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} accepted a version {version} file");
+            assert!(
+                stderr.contains(&format!("version {version}")) && stderr.contains("regenerate"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

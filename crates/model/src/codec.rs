@@ -13,47 +13,10 @@
 //! [FNV-1a checksum](checksum32), decoded tolerantly so a torn tail loses
 //! only the damaged records, never the segment.
 //!
-//! Layout of version 1 (all integers varint-encoded unless noted):
-//!
-//! ```text
-//! "CSTM" u8(1)
-//! collected_at:i64(zigzag) scanned_id_space
-//! n_accounts  { id_index, created_at, vis, country(+1 or 0), city(+1 or 0),
-//!               level, facebook }
-//! n_edges     { a_delta-encoded?, no — a, b, created_at }   (a,b varint)
-//! n_catalog   { app_id, name, type, genre_bits, price, mp, release,
-//!               metacritic(+1 or 0), n_ach { name, pct(f32 le) } }
-//! per-account library { n { app_id, forever, 2weeks } }
-//! n_groups    { id, kind, name }
-//! per-account memberships { n { group_index } }
-//! ```
-//!
-//! Version 2 is the *sectioned* container: the same record encodings, but
-//! grouped into six independent, checksummed blocks so encode and decode
-//! fan out over worker threads and a damaged section is pinpointed instead
-//! of scrambling the whole decode:
-//!
-//! ```text
-//! "CSTM" u8(2)
-//! collected_at:i64(zigzag) scanned_id_space
-//! 6 × block:  u8(section_id) payload_len u32le(fnv1a(payload)) payload
-//! trailer:    6  6 × { u8(section_id) block_offset payload_len u32le(sum) }
-//!             u32le(fnv1a(header))
-//! u64le(trailer_offset)                                   -- final 8 bytes
-//! ```
-//!
-//! Section ids, in file order: 0 accounts, 1 friendships, 2 ownerships,
-//! 3 groups, 4 memberships, 5 catalog. Every section payload carries its
-//! own leading count, so each decodes independently of the others. The
-//! trailer mirrors the block headers; [`decode_snapshot`] cross-checks the
-//! two, which makes truncation at *any* byte detectable. Version-1 inputs
-//! remain fully readable — [`decode_snapshot`] dispatches on the version
-//! byte.
-//!
-//! Version 3 is the *chunked columnar* container for out-of-core work: the
-//! same record encodings and section ids, but each section is split into
-//! fixed-record-count chunks, every chunk independently framed and
-//! checksummed, with a seekable chunk directory in the trailer:
+//! The snapshot container is the *chunked columnar* format, version 3. Each
+//! of six sections is split into fixed-record-count chunks, every chunk
+//! independently framed and checksummed, with a seekable chunk directory in
+//! the trailer (all integers varint-encoded unless noted):
 //!
 //! ```text
 //! "CSTM" u8(3)
@@ -67,14 +30,20 @@
 //! u64le(trailer_offset)                       -- final 8 bytes
 //! ```
 //!
-//! Chunk payloads carry records back-to-back with *no* leading count — counts
-//! live in the frame header and the directory, which the decoder cross-checks
-//! so corruption is pinned to a section *and* chunk. Every chunk except a
-//! section's last holds exactly `chunk_cap` records, so record `i` lives in
-//! chunk `i / cap` without scanning. A [`SnapshotReader`](crate::reader)
-//! opens v3 files via mmap/pread and serves individual chunks without
-//! materializing the world; [`decode_snapshot`] still fully materializes any
-//! version.
+//! Section ids, in file order: 0 accounts, 1 friendships, 2 ownerships,
+//! 3 groups, 4 memberships, 5 catalog. Chunk payloads carry records
+//! back-to-back with *no* leading count — counts live in the frame header
+//! and the directory, which the reader cross-checks so corruption is pinned
+//! to a section *and* chunk. Every chunk except a section's last holds
+//! exactly `chunk_cap` records, so record `i` lives in chunk `i / cap`
+//! without scanning.
+//!
+//! This module writes the container and encodes/decodes the records inside
+//! chunk payloads. Parsing the container itself — header, directory, chunk
+//! frames — happens in one place, [`SnapshotReader`](crate::reader), which
+//! also backs [`decode_snapshot`]. Files written by the retired version 1
+//! (single stream) and version 2 (six sections) containers are rejected
+//! with an error that says to regenerate them.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -88,15 +57,15 @@ use crate::game::{Achievement, AppId, AppType, Game, GenreSet};
 use crate::group::{Group, GroupId, GroupKind};
 use crate::id::SteamId;
 use crate::ownership::OwnedGame;
+use crate::reader::SnapshotReader;
 use crate::snapshot::{Friendship, Snapshot, WeekPanel};
 use crate::time::SimTime;
 
-const MAGIC: &[u8; 4] = b"CSTM";
-const VERSION: u8 = 1;
-/// Version byte of the sectioned (parallel) snapshot container.
-pub const VERSION_SECTIONED: u8 = 2;
+pub(crate) const MAGIC: &[u8; 4] = b"CSTM";
+/// Version byte of the week-panel format; independent of the snapshot's.
+const PANEL_VERSION: u8 = 1;
 
-/// Section ids of the v2/v3 containers, in file order.
+/// Section ids of the snapshot container, in file order.
 pub(crate) const SECTION_IDS: [u8; 6] = [0, 1, 2, 3, 4, 5];
 pub(crate) const SECTION_ACCOUNTS: u8 = 0;
 pub(crate) const SECTION_FRIENDSHIPS: u8 = 1;
@@ -463,162 +432,21 @@ fn fsync_parent(path: &std::path::Path) {
 
 // --- snapshot ---------------------------------------------------------------
 
-/// Serializes a snapshot into a byte buffer.
-pub fn encode_snapshot(s: &Snapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        64 + s.accounts.len() * 12 + s.friendships.len() * 10 + s.n_owned_games() * 8,
-    );
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    put_vari64(&mut buf, s.collected_at.unix());
-    put_varu64(&mut buf, s.scanned_id_space);
-
-    put_varu64(&mut buf, s.accounts.len() as u64);
-    for a in &s.accounts {
-        put_account(&mut buf, a);
-    }
-
-    put_varu64(&mut buf, s.friendships.len() as u64);
-    for e in &s.friendships {
-        put_varu64(&mut buf, u64::from(e.a));
-        put_varu64(&mut buf, u64::from(e.b));
-        put_vari64(&mut buf, e.created_at.unix());
-    }
-
-    put_varu64(&mut buf, s.catalog.len() as u64);
-    for g in &s.catalog {
-        put_game(&mut buf, g);
-    }
-
-    for lib in &s.ownerships {
-        put_varu64(&mut buf, lib.len() as u64);
-        for o in lib {
-            put_varu64(&mut buf, u64::from(o.app_id.0));
-            put_varu64(&mut buf, u64::from(o.playtime_forever_min));
-            put_varu64(&mut buf, u64::from(o.playtime_2weeks_min));
-        }
-    }
-
-    put_varu64(&mut buf, s.groups.len() as u64);
-    for g in &s.groups {
-        put_group(&mut buf, g);
-    }
-
-    for ms in &s.memberships {
-        put_varu64(&mut buf, ms.len() as u64);
-        for &g in ms {
-            put_varu64(&mut buf, u64::from(g));
-        }
-    }
-
-    buf.freeze()
-}
-
-/// Deserializes a snapshot written by [`encode_snapshot`] (v1) or
-/// [`encode_snapshot_jobs`] (v2) — dispatches on the version byte.
+/// Fully decodes an in-memory v3 snapshot.
 pub fn decode_snapshot(buf: Bytes) -> Result<Snapshot, ModelError> {
     decode_snapshot_jobs(buf, 1)
 }
 
-/// Like [`decode_snapshot`], decoding v2 sections on up to `jobs` worker
-/// threads. v1 inputs decode on the calling thread regardless of `jobs`.
-pub fn decode_snapshot_jobs(mut buf: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
-    let full = buf.clone();
-    if buf.remaining() < 5 || &buf.split_to(4)[..] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    match buf.get_u8() {
-        VERSION => decode_snapshot_v1(buf),
-        VERSION_SECTIONED => decode_snapshot_v2(full, jobs),
-        VERSION_CHUNKED => decode_snapshot_v3(full, jobs),
-        version => Err(err(format!("unsupported snapshot version {version}"))),
-    }
+/// Like [`decode_snapshot`], verifying and decoding chunks on up to `jobs`
+/// worker threads: a [`SnapshotReader`] over `buf`, fully materialized.
+pub fn decode_snapshot_jobs(buf: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
+    SnapshotReader::from_bytes(buf)?.materialize(jobs)
 }
-
-/// Decodes the v1 body (everything after magic + version).
-fn decode_snapshot_v1(mut buf: Bytes) -> Result<Snapshot, ModelError> {
-    let collected_at = SimTime::from_unix(get_vari64(&mut buf)?);
-    let scanned_id_space = get_varu64(&mut buf)?;
-
-    let n_accounts = get_len(&mut buf, 7, "account")?;
-    let mut accounts = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        accounts.push(get_account(&mut buf)?);
-    }
-
-    let n_edges = get_len(&mut buf, 3, "edge")?;
-    let mut friendships = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let a = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-        let b = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-        let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-        friendships.push(Friendship { a, b, created_at });
-    }
-
-    let n_catalog = get_len(&mut buf, 10, "catalog")?;
-    let mut catalog = Vec::with_capacity(n_catalog);
-    for _ in 0..n_catalog {
-        catalog.push(get_game(&mut buf)?);
-    }
-
-    let mut ownerships = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        let n = get_len(&mut buf, 3, "owned game")?;
-        let mut lib = Vec::with_capacity(n);
-        for _ in 0..n {
-            let app_id =
-                AppId(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?);
-            let forever =
-                u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-            let two_weeks =
-                u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-            lib.push(OwnedGame {
-                app_id,
-                playtime_forever_min: forever,
-                playtime_2weeks_min: two_weeks,
-            });
-        }
-        ownerships.push(lib);
-    }
-
-    let n_groups = get_len(&mut buf, 3, "group")?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        groups.push(get_group(&mut buf)?);
-    }
-
-    let mut memberships = Vec::with_capacity(n_accounts);
-    for _ in 0..n_accounts {
-        let n = get_len(&mut buf, 1, "membership")?;
-        let mut ms = Vec::with_capacity(n);
-        for _ in 0..n {
-            ms.push(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("group index"))?);
-        }
-        memberships.push(ms);
-    }
-
-    if buf.has_remaining() {
-        return Err(err(format!("{} trailing bytes", buf.remaining())));
-    }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
-}
-
-// --- sectioned snapshot container (v2) --------------------------------------
 
 /// Runs `f(0..n)` on up to `jobs` scoped workers, returning results in
 /// index order. The codec's local copy of the synth crate's chunk runner
 /// (the dependency points the other way).
-fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+pub(crate) fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -651,71 +479,6 @@ where
         .collect()
 }
 
-/// Encodes one section's payload (leading count + records).
-fn encode_section_payload(s: &Snapshot, id: u8) -> BytesMut {
-    match id {
-        SECTION_ACCOUNTS => {
-            let mut buf = BytesMut::with_capacity(8 + s.accounts.len() * 12);
-            put_varu64(&mut buf, s.accounts.len() as u64);
-            for a in &s.accounts {
-                put_account(&mut buf, a);
-            }
-            buf
-        }
-        SECTION_FRIENDSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.friendships.len() * 10);
-            put_varu64(&mut buf, s.friendships.len() as u64);
-            for e in &s.friendships {
-                put_varu64(&mut buf, u64::from(e.a));
-                put_varu64(&mut buf, u64::from(e.b));
-                put_vari64(&mut buf, e.created_at.unix());
-            }
-            buf
-        }
-        SECTION_OWNERSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.n_owned_games() * 8);
-            put_varu64(&mut buf, s.ownerships.len() as u64);
-            for lib in &s.ownerships {
-                put_varu64(&mut buf, lib.len() as u64);
-                for o in lib {
-                    put_varu64(&mut buf, u64::from(o.app_id.0));
-                    put_varu64(&mut buf, u64::from(o.playtime_forever_min));
-                    put_varu64(&mut buf, u64::from(o.playtime_2weeks_min));
-                }
-            }
-            buf
-        }
-        SECTION_GROUPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.groups.len() * 24);
-            put_varu64(&mut buf, s.groups.len() as u64);
-            for g in &s.groups {
-                put_group(&mut buf, g);
-            }
-            buf
-        }
-        SECTION_MEMBERSHIPS => {
-            let mut buf = BytesMut::with_capacity(8 + s.n_memberships() * 2);
-            put_varu64(&mut buf, s.memberships.len() as u64);
-            for ms in &s.memberships {
-                put_varu64(&mut buf, ms.len() as u64);
-                for &g in ms {
-                    put_varu64(&mut buf, u64::from(g));
-                }
-            }
-            buf
-        }
-        SECTION_CATALOG => {
-            let mut buf = BytesMut::with_capacity(8 + s.catalog.len() * 64);
-            put_varu64(&mut buf, s.catalog.len() as u64);
-            for g in &s.catalog {
-                put_game(&mut buf, g);
-            }
-            buf
-        }
-        _ => unreachable!("unknown section id {id}"),
-    }
-}
-
 /// One decoded section's typed contents.
 pub(crate) enum Section {
     Accounts(Vec<Account>),
@@ -726,298 +489,7 @@ pub(crate) enum Section {
     Catalog(Vec<Game>),
 }
 
-/// Decodes one section payload; requires full consumption.
-fn decode_section(id: u8, mut buf: Bytes) -> Result<Section, ModelError> {
-    let out = match id {
-        SECTION_ACCOUNTS => {
-            let n = get_len(&mut buf, 7, "account")?;
-            let mut accounts = Vec::with_capacity(n);
-            for _ in 0..n {
-                accounts.push(get_account(&mut buf)?);
-            }
-            Section::Accounts(accounts)
-        }
-        SECTION_FRIENDSHIPS => {
-            let n = get_len(&mut buf, 3, "edge")?;
-            let mut friendships = Vec::with_capacity(n);
-            for _ in 0..n {
-                let a = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-                let b = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("edge endpoint"))?;
-                let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-                friendships.push(Friendship { a, b, created_at });
-            }
-            Section::Friendships(friendships)
-        }
-        SECTION_OWNERSHIPS => {
-            let n_users = get_len(&mut buf, 1, "library")?;
-            let mut ownerships = Vec::with_capacity(n_users);
-            for _ in 0..n_users {
-                let n = get_len(&mut buf, 3, "owned game")?;
-                let mut lib = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let app_id =
-                        AppId(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?);
-                    let forever =
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                    let two_weeks =
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                    lib.push(OwnedGame {
-                        app_id,
-                        playtime_forever_min: forever,
-                        playtime_2weeks_min: two_weeks,
-                    });
-                }
-                ownerships.push(lib);
-            }
-            Section::Ownerships(ownerships)
-        }
-        SECTION_GROUPS => {
-            let n = get_len(&mut buf, 3, "group")?;
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
-                groups.push(get_group(&mut buf)?);
-            }
-            Section::Groups(groups)
-        }
-        SECTION_MEMBERSHIPS => {
-            let n_users = get_len(&mut buf, 1, "membership list")?;
-            let mut memberships = Vec::with_capacity(n_users);
-            for _ in 0..n_users {
-                let n = get_len(&mut buf, 1, "membership")?;
-                let mut ms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ms.push(
-                        u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("group index"))?,
-                    );
-                }
-                memberships.push(ms);
-            }
-            Section::Memberships(memberships)
-        }
-        SECTION_CATALOG => {
-            let n = get_len(&mut buf, 10, "catalog")?;
-            let mut catalog = Vec::with_capacity(n);
-            for _ in 0..n {
-                catalog.push(get_game(&mut buf)?);
-            }
-            Section::Catalog(catalog)
-        }
-        _ => return Err(err(format!("unknown section id {id}"))),
-    };
-    if buf.has_remaining() {
-        return Err(err(format!(
-            "{} trailing bytes in {} section",
-            buf.remaining(),
-            section_name(id)
-        )));
-    }
-    Ok(out)
-}
-
-/// Serializes a snapshot into the sectioned v2 container, encoding the six
-/// sections on up to `jobs` worker threads. Output is byte-identical for
-/// every `jobs >= 1`.
-pub fn encode_snapshot_jobs(s: &Snapshot, jobs: usize) -> Bytes {
-    let payloads = map_parallel(jobs, SECTION_IDS.len(), |i| {
-        let payload = encode_section_payload(s, SECTION_IDS[i]);
-        let sum = checksum32(&payload);
-        (payload, sum)
-    });
-
-    let body: usize = payloads.iter().map(|(p, _)| p.len() + 16).sum();
-    let mut buf = BytesMut::with_capacity(64 + body);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_SECTIONED);
-    put_vari64(&mut buf, s.collected_at.unix());
-    put_varu64(&mut buf, s.scanned_id_space);
-    let header_sum = checksum32(&buf);
-
-    let mut index: Vec<(u8, u64, u64, u32)> = Vec::with_capacity(SECTION_IDS.len());
-    for (i, (payload, sum)) in payloads.iter().enumerate() {
-        index.push((SECTION_IDS[i], buf.len() as u64, payload.len() as u64, *sum));
-        buf.put_u8(SECTION_IDS[i]);
-        put_varu64(&mut buf, payload.len() as u64);
-        buf.put_u32_le(*sum);
-        buf.put_slice(payload);
-    }
-
-    let trailer_offset = buf.len() as u64;
-    put_varu64(&mut buf, index.len() as u64);
-    for (id, offset, len, sum) in index {
-        buf.put_u8(id);
-        put_varu64(&mut buf, offset);
-        put_varu64(&mut buf, len);
-        buf.put_u32_le(sum);
-    }
-    // Checksum of everything before the first block (magic, version, shared
-    // header) — the only bytes no section checksum covers.
-    buf.put_u32_le(header_sum);
-    buf.put_u64_le(trailer_offset);
-    buf.freeze()
-}
-
-struct SectionEntry {
-    id: u8,
-    offset: usize,
-    len: usize,
-    sum: u32,
-}
-
-/// Decodes a v2 container from the *full* buffer (magic included), fanning
-/// section verification + decoding out over up to `jobs` workers.
-fn decode_snapshot_v2(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
-    let total = full.len();
-    if total < 5 + 8 {
-        return Err(err("sectioned snapshot too short"));
-    }
-
-    // Shared header.
-    let mut head = full.slice(5..total - 8);
-    let head_len = head.remaining();
-    let collected_at = SimTime::from_unix(get_vari64(&mut head)?);
-    let scanned_id_space = get_varu64(&mut head)?;
-    let first_block = 5 + (head_len - head.remaining());
-
-    // Trailer pointer (final 8 bytes) and trailer index.
-    let trailer_offset = {
-        let mut tail = full.slice(total - 8..);
-        usize::try_from(tail.get_u64_le()).map_err(|_| err("trailer offset overflow"))?
-    };
-    if trailer_offset < first_block || trailer_offset > total - 8 {
-        return Err(err("trailer offset out of bounds"));
-    }
-    let mut trailer = full.slice(trailer_offset..total - 8);
-    let n_sections = get_varu64(&mut trailer)? as usize;
-    if n_sections != SECTION_IDS.len() {
-        return Err(err(format!("expected {} sections, got {n_sections}", SECTION_IDS.len())));
-    }
-    let mut entries: Vec<SectionEntry> = Vec::with_capacity(n_sections);
-    for _ in 0..n_sections {
-        if !trailer.has_remaining() {
-            return Err(err("truncated trailer"));
-        }
-        let id = trailer.get_u8();
-        let offset = usize::try_from(get_varu64(&mut trailer)?)
-            .map_err(|_| err("section offset overflow"))?;
-        let len =
-            usize::try_from(get_varu64(&mut trailer)?).map_err(|_| err("section len overflow"))?;
-        if trailer.remaining() < 4 {
-            return Err(err("truncated trailer"));
-        }
-        let sum = trailer.get_u32_le();
-        entries.push(SectionEntry { id, offset, len, sum });
-    }
-    if trailer.remaining() < 4 {
-        return Err(err("truncated trailer"));
-    }
-    let header_sum = trailer.get_u32_le();
-    if trailer.has_remaining() {
-        return Err(err(format!("{} trailing bytes in trailer", trailer.remaining())));
-    }
-    if checksum32(&full[..first_block]) != header_sum {
-        return Err(err("checksum mismatch in snapshot header"));
-    }
-
-    // Walk the blocks sequentially and cross-check against the trailer:
-    // framing and index must agree byte-for-byte, so truncation or a
-    // spliced block is caught before any payload is parsed.
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n_sections);
-    let mut pos = first_block;
-    for (i, e) in entries.iter().enumerate() {
-        if e.id != SECTION_IDS[i] {
-            return Err(err(format!("section {i} has id {} in trailer", e.id)));
-        }
-        if e.offset != pos {
-            return Err(err(format!(
-                "section {} at offset {pos}, trailer says {}",
-                section_name(e.id),
-                e.offset
-            )));
-        }
-        let mut blk = full.slice(pos..trailer_offset);
-        let blk_len = blk.remaining();
-        if !blk.has_remaining() {
-            return Err(err("truncated section header"));
-        }
-        let id = blk.get_u8();
-        let len = usize::try_from(get_varu64(&mut blk)?)
-            .map_err(|_| err("section len overflow"))?;
-        if id != e.id || len != e.len {
-            return Err(err(format!(
-                "block header for {} disagrees with trailer",
-                section_name(e.id)
-            )));
-        }
-        if blk.remaining() < 4 {
-            return Err(err("truncated section header"));
-        }
-        let sum = blk.get_u32_le();
-        if sum != e.sum {
-            return Err(err(format!(
-                "block checksum for {} disagrees with trailer",
-                section_name(e.id)
-            )));
-        }
-        if blk.remaining() < len {
-            return Err(err(format!("truncated {} section", section_name(e.id))));
-        }
-        let payload_start = pos + (blk_len - blk.remaining());
-        payloads.push(full.slice(payload_start..payload_start + len));
-        pos = payload_start + len;
-    }
-    if pos != trailer_offset {
-        return Err(err(format!("{} unindexed bytes before trailer", trailer_offset - pos)));
-    }
-
-    // Verify checksums and parse payloads, section-parallel.
-    let decoded = map_parallel(jobs, n_sections, |i| {
-        let e = &entries[i];
-        if checksum32(&payloads[i]) != e.sum {
-            return Err(err(format!("checksum mismatch in {} section", section_name(e.id))));
-        }
-        decode_section(e.id, payloads[i].clone())
-    });
-
-    let mut accounts = Vec::new();
-    let mut friendships = Vec::new();
-    let mut ownerships = Vec::new();
-    let mut groups = Vec::new();
-    let mut memberships = Vec::new();
-    let mut catalog = Vec::new();
-    for section in decoded {
-        match section? {
-            Section::Accounts(v) => accounts = v,
-            Section::Friendships(v) => friendships = v,
-            Section::Ownerships(v) => ownerships = v,
-            Section::Groups(v) => groups = v,
-            Section::Memberships(v) => memberships = v,
-            Section::Catalog(v) => catalog = v,
-        }
-    }
-    if ownerships.len() != accounts.len() || memberships.len() != accounts.len() {
-        return Err(err(format!(
-            "per-account sections disagree: {} accounts, {} libraries, {} membership lists",
-            accounts.len(),
-            ownerships.len(),
-            memberships.len()
-        )));
-    }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
-}
-
-// --- chunked columnar snapshot container (v3) --------------------------------
-
-/// Version byte of the chunked columnar (out-of-core) snapshot container.
+/// Version byte of the chunked columnar snapshot container, the only one.
 pub const VERSION_CHUNKED: u8 = 3;
 
 /// Records per chunk by section, as chosen by this writer. The caps are
@@ -1054,16 +526,8 @@ pub(crate) struct SectionDir {
     pub chunks: Vec<ChunkEntry>,
 }
 
-/// The parsed, checksum-verified v3 trailer.
-pub(crate) struct V3Directory {
-    /// One entry per section, in id order.
-    pub sections: Vec<SectionDir>,
-    /// Stored checksum of the bytes before the first chunk.
-    pub header_sum: u32,
-}
-
 /// Encoded byte length of a varint.
-fn varu64_len(mut v: u64) -> u64 {
+pub(crate) fn varu64_len(mut v: u64) -> u64 {
     let mut n = 1;
     while v >= 0x80 {
         v >>= 7;
@@ -1161,9 +625,9 @@ fn encode_v3_header(s: &Snapshot) -> BytesMut {
 }
 
 /// Appends the v3 trailer (directory + header/trailer checksums + offset
-/// pointer) to `buf`, which must currently end exactly at `trailer_offset`
-/// relative to the file start.
-fn append_v3_trailer(buf: &mut BytesMut, dirs: &[SectionDir], header_sum: u32, trailer_offset: u64) {
+/// pointer) to `buf`; `trailer_offset` is the file offset the trailer
+/// starts at.
+pub(crate) fn append_v3_trailer(buf: &mut BytesMut, dirs: &[SectionDir], header_sum: u32, trailer_offset: u64) {
     let tstart = buf.len();
     put_varu64(buf, dirs.len() as u64);
     for d in dirs {
@@ -1184,121 +648,32 @@ fn append_v3_trailer(buf: &mut BytesMut, dirs: &[SectionDir], header_sum: u32, t
     buf.put_u64_le(trailer_offset);
 }
 
-/// Serializes a snapshot into the chunked v3 container in memory, encoding
-/// chunks on up to `jobs` workers. Byte-identical for every `jobs >= 1`, and
-/// to what [`write_snapshot_v3`] streams to disk.
+/// Serializes a snapshot into the v3 container in memory, encoding chunks on
+/// up to `jobs` workers. Byte-identical for every `jobs >= 1`, and to what
+/// [`write_snapshot_v3`] streams to disk: both run the same writer.
 pub fn encode_snapshot_v3(s: &Snapshot, jobs: usize) -> Bytes {
     encode_snapshot_v3_caps(s, jobs, default_chunk_cap)
 }
 
 pub(crate) fn encode_snapshot_v3_caps(s: &Snapshot, jobs: usize, cap: fn(u8) -> u64) -> Bytes {
-    let specs = v3_chunk_specs(s, cap);
-    let payloads = map_parallel(jobs, specs.len(), |i| {
-        let (id, start, end) = specs[i];
-        let payload = encode_v3_chunk_payload(s, id, start, end);
-        let sum = checksum32(&payload);
-        (payload, sum)
-    });
-
-    let body: usize = payloads.iter().map(|(p, _)| p.len() + 24).sum();
-    let mut buf = BytesMut::with_capacity(body + 64);
-    buf.put_slice(&encode_v3_header(s));
-    let header_sum = checksum32(&buf);
-
-    let mut dirs: Vec<SectionDir> = SECTION_IDS
-        .iter()
-        .map(|&id| SectionDir {
-            id,
-            cap: cap(id).max(1),
-            total_records: section_records(s, id) as u64,
-            chunks: Vec::new(),
-        })
-        .collect();
-    for (i, (payload, sum)) in payloads.iter().enumerate() {
-        let (id, start, end) = specs[i];
-        dirs[id as usize].chunks.push(ChunkEntry {
-            offset: buf.len() as u64,
-            len: payload.len() as u64,
-            n_records: (end - start) as u64,
-            sum: *sum,
-        });
-        buf.put_u8(id);
-        put_varu64(&mut buf, (end - start) as u64);
-        put_varu64(&mut buf, payload.len() as u64);
-        buf.put_u32_le(*sum);
-        buf.put_slice(payload);
-    }
-
-    let trailer_offset = buf.len() as u64;
-    append_v3_trailer(&mut buf, &dirs, header_sum, trailer_offset);
-    buf.freeze()
+    let mut buf = Vec::new();
+    stream_v3(&mut buf, s, jobs, cap).expect("writing to a Vec cannot fail");
+    Bytes::from(buf)
 }
 
-/// Writes a snapshot in the chunked v3 container without ever materializing
-/// the full encoding: chunks are encoded in bounded parallel windows and
-/// streamed to a sibling temp file, then fsync + rename as in
-/// [`write_atomic`]. Output bytes are identical to [`encode_snapshot_v3`]
-/// for any `jobs`.
+/// Writes a snapshot in the v3 container without ever materializing the
+/// full encoding: chunks stream to a sibling temp file, then fsync + rename
+/// as in [`write_atomic`]. Output bytes are identical to
+/// [`encode_snapshot_v3`] for any `jobs`.
 pub fn write_snapshot_v3(
     path: &std::path::Path,
     s: &Snapshot,
     jobs: usize,
 ) -> Result<(), ModelError> {
-    use std::io::Write;
     let tmp = temp_sibling(path);
     let written = (|| -> Result<(), ModelError> {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        let header = encode_v3_header(s);
-        let header_sum = checksum32(&header);
-        f.write_all(&header)?;
-        let mut offset = header.len() as u64;
-
-        let specs = v3_chunk_specs(s, default_chunk_cap);
-        let mut dirs: Vec<SectionDir> = SECTION_IDS
-            .iter()
-            .map(|&id| SectionDir {
-                id,
-                cap: default_chunk_cap(id),
-                total_records: section_records(s, id) as u64,
-                chunks: Vec::new(),
-            })
-            .collect();
-
-        // Encode a window of chunks in parallel, drain it to disk, repeat —
-        // peak transient memory is one window of encoded chunks, not the file.
-        let window = jobs.max(1) * 4;
-        let mut i = 0;
-        while i < specs.len() {
-            let end = (i + window).min(specs.len());
-            let encoded = map_parallel(jobs, end - i, |j| {
-                let (id, start, stop) = specs[i + j];
-                let payload = encode_v3_chunk_payload(s, id, start, stop);
-                let sum = checksum32(&payload);
-                (payload, sum)
-            });
-            for (j, (payload, sum)) in encoded.iter().enumerate() {
-                let (id, start, stop) = specs[i + j];
-                let mut hdr = BytesMut::with_capacity(24);
-                hdr.put_u8(id);
-                put_varu64(&mut hdr, (stop - start) as u64);
-                put_varu64(&mut hdr, payload.len() as u64);
-                hdr.put_u32_le(*sum);
-                f.write_all(&hdr)?;
-                f.write_all(payload)?;
-                dirs[id as usize].chunks.push(ChunkEntry {
-                    offset,
-                    len: payload.len() as u64,
-                    n_records: (stop - start) as u64,
-                    sum: *sum,
-                });
-                offset += hdr.len() as u64 + payload.len() as u64;
-            }
-            i = end;
-        }
-
-        let mut trailer = BytesMut::with_capacity(64 + specs.len() * 24);
-        append_v3_trailer(&mut trailer, &dirs, header_sum, offset);
-        f.write_all(&trailer)?;
+        stream_v3(&mut f, s, jobs, default_chunk_cap)?;
         let f = f.into_inner().map_err(|e| err(format!("snapshot flush failed: {e}")))?;
         f.sync_all()?;
         Ok(())
@@ -1315,150 +690,59 @@ pub fn write_snapshot_v3(
     Ok(())
 }
 
-/// Parses the v3 shared header from a prefix of the file; returns collected
-/// at, scanned id space, and the offset of the first chunk.
-pub(crate) fn parse_v3_header(prefix: Bytes) -> Result<(SimTime, u64, usize), ModelError> {
-    let total = prefix.len();
-    let mut buf = prefix;
-    if buf.remaining() < 5 || &buf.split_to(4)[..] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = buf.get_u8();
-    if version != VERSION_CHUNKED {
-        return Err(err(format!("not a chunked (v3) snapshot: version {version}")));
-    }
-    let collected_at = SimTime::from_unix(get_vari64(&mut buf)?);
-    let scanned = get_varu64(&mut buf)?;
-    Ok((collected_at, scanned, total - buf.remaining()))
-}
+/// Writes the v3 encoding of `s` to `out`. Chunks are encoded in parallel
+/// windows of `4 × jobs` and drained in file order, so peak transient memory
+/// is one window of encoded chunks and the bytes never depend on `jobs`.
+fn stream_v3(
+    out: &mut impl std::io::Write,
+    s: &Snapshot,
+    jobs: usize,
+    cap: fn(u8) -> u64,
+) -> Result<(), ModelError> {
+    let header = encode_v3_header(s);
+    let header_sum = checksum32(&header);
+    out.write_all(&header)?;
+    let mut offset = header.len() as u64;
 
-/// Parses and verifies the v3 trailer region (`[trailer_offset, len - 8)`):
-/// the trailer checksum, section order, per-section chunk-count/cap
-/// arithmetic, and the contiguity invariant — chunks tile the byte range
-/// `[first_chunk, trailer_offset)` exactly, in section order.
-pub(crate) fn parse_v3_directory(
-    region: Bytes,
-    first_chunk: u64,
-    trailer_offset: u64,
-) -> Result<V3Directory, ModelError> {
-    if region.len() < 9 {
-        return Err(err("truncated v3 trailer"));
-    }
-    let sum_at = region.len() - 4;
-    let stored = u32::from_le_bytes(region[sum_at..].try_into().expect("4 bytes"));
-    if checksum32(&region[..sum_at]) != stored {
-        return Err(err("checksum mismatch in v3 trailer"));
+    let specs = v3_chunk_specs(s, cap);
+    let mut dirs: Vec<SectionDir> = SECTION_IDS
+        .iter()
+        .map(|&id| SectionDir {
+            id,
+            cap: cap(id).max(1),
+            total_records: section_records(s, id) as u64,
+            chunks: Vec::new(),
+        })
+        .collect();
+    for window in specs.chunks(jobs.max(1) * 4) {
+        let encoded = map_parallel(jobs, window.len(), |j| {
+            let (id, start, stop) = window[j];
+            let payload = encode_v3_chunk_payload(s, id, start, stop);
+            let sum = checksum32(&payload);
+            (payload, sum)
+        });
+        for (&(id, start, stop), (payload, sum)) in window.iter().zip(&encoded) {
+            let mut hdr = BytesMut::with_capacity(24);
+            hdr.put_u8(id);
+            put_varu64(&mut hdr, (stop - start) as u64);
+            put_varu64(&mut hdr, payload.len() as u64);
+            hdr.put_u32_le(*sum);
+            out.write_all(&hdr)?;
+            out.write_all(payload)?;
+            dirs[id as usize].chunks.push(ChunkEntry {
+                offset,
+                len: payload.len() as u64,
+                n_records: (stop - start) as u64,
+                sum: *sum,
+            });
+            offset += hdr.len() as u64 + payload.len() as u64;
+        }
     }
 
-    let mut t = region.slice(..sum_at);
-    let n_sections = get_varu64(&mut t)? as usize;
-    if n_sections != SECTION_IDS.len() {
-        return Err(err(format!("expected {} sections, got {n_sections}", SECTION_IDS.len())));
-    }
-    let mut pos = first_chunk;
-    let mut sections = Vec::with_capacity(n_sections);
-    for (i, &expected_id) in SECTION_IDS.iter().enumerate() {
-        if !t.has_remaining() {
-            return Err(err("truncated v3 trailer"));
-        }
-        let id = t.get_u8();
-        if id != expected_id {
-            return Err(err(format!("section {i} has id {id} in trailer")));
-        }
-        let cap = get_varu64(&mut t)?;
-        if cap == 0 {
-            return Err(err(format!("zero chunk capacity for {} section", section_name(id))));
-        }
-        let total_records = get_varu64(&mut t)?;
-        let n_chunks = usize::try_from(get_varu64(&mut t)?).map_err(|_| err("chunk count"))?;
-        if n_chunks as u64 != total_records.div_ceil(cap) {
-            return Err(err(format!(
-                "{} section: {n_chunks} chunks for {total_records} records at cap {cap}",
-                section_name(id)
-            )));
-        }
-        // Each directory entry is at least 3 one-byte varints + 4 checksum
-        // bytes; reject counts that cannot fit before allocating.
-        if n_chunks > t.remaining() / 7 {
-            return Err(err(format!("implausible chunk count {n_chunks}")));
-        }
-        let mut chunks = Vec::with_capacity(n_chunks);
-        let mut records_left = total_records;
-        for k in 0..n_chunks {
-            let offset = get_varu64(&mut t)?;
-            let len = get_varu64(&mut t)?;
-            let n_records = get_varu64(&mut t)?;
-            if t.remaining() < 4 {
-                return Err(err("truncated v3 trailer"));
-            }
-            let sum = t.get_u32_le();
-            let expect = if k + 1 < n_chunks { cap } else { records_left };
-            if n_records != expect {
-                return Err(err(format!(
-                    "{} section chunk {k}: {n_records} records, expected {expect}",
-                    section_name(id)
-                )));
-            }
-            records_left -= n_records;
-            if offset != pos {
-                return Err(err(format!(
-                    "{} section chunk {k} at offset {pos}, directory says {offset}",
-                    section_name(id)
-                )));
-            }
-            pos += 1 + varu64_len(n_records) + varu64_len(len) + 4 + len;
-            if pos > trailer_offset {
-                return Err(err(format!(
-                    "{} section chunk {k} overruns the trailer",
-                    section_name(id)
-                )));
-            }
-            chunks.push(ChunkEntry { offset, len, n_records, sum });
-        }
-        sections.push(SectionDir { id, cap, total_records, chunks });
-    }
-    if t.remaining() < 4 {
-        return Err(err("truncated v3 trailer"));
-    }
-    let header_sum = t.get_u32_le();
-    if t.has_remaining() {
-        return Err(err(format!("{} trailing bytes in v3 trailer", t.remaining())));
-    }
-    if pos != trailer_offset {
-        return Err(err(format!("{} unindexed bytes before v3 trailer", trailer_offset - pos)));
-    }
-    Ok(V3Directory { sections, header_sum })
-}
-
-/// Cross-checks one chunk's inline frame header against its directory entry;
-/// returns the header's byte length. The frame header itself is covered by no
-/// checksum — this cross-check (id, count, length, payload sum all mirrored
-/// in the checksummed directory) is what detects damage to it.
-pub(crate) fn parse_v3_chunk_header(
-    hdr: Bytes,
-    id: u8,
-    k: usize,
-    e: &ChunkEntry,
-) -> Result<usize, ModelError> {
-    let start_len = hdr.remaining();
-    let mut hdr = hdr;
-    if !hdr.has_remaining() {
-        return Err(err(format!("truncated {} section chunk {k}", section_name(id))));
-    }
-    let got_id = hdr.get_u8();
-    let n_records = get_varu64(&mut hdr)?;
-    let len = get_varu64(&mut hdr)?;
-    if hdr.remaining() < 4 {
-        return Err(err(format!("truncated {} section chunk {k}", section_name(id))));
-    }
-    let sum = hdr.get_u32_le();
-    if got_id != id || n_records != e.n_records || len != e.len || sum != e.sum {
-        return Err(err(format!(
-            "chunk header for {} section chunk {k} disagrees with directory",
-            section_name(id)
-        )));
-    }
-    Ok(start_len - hdr.remaining())
+    let mut trailer = BytesMut::with_capacity(64 + specs.len() * 24);
+    append_v3_trailer(&mut trailer, &dirs, header_sum, offset);
+    out.write_all(&trailer)?;
+    Ok(())
 }
 
 /// Decodes one v3 chunk payload: exactly `n` records, full consumption
@@ -1556,111 +840,11 @@ pub(crate) fn decode_v3_chunk(
     Ok(out)
 }
 
-/// Decodes a v3 container from the *full* buffer (magic included), fanning
-/// chunk verification + decoding out over up to `jobs` workers.
-fn decode_snapshot_v3(full: Bytes, jobs: usize) -> Result<Snapshot, ModelError> {
-    let total = full.len();
-    if total < 5 + 8 + 9 {
-        return Err(err("chunked snapshot too short"));
-    }
-    let (collected_at, scanned_id_space, first_chunk) =
-        parse_v3_header(full.slice(..total.min(64)))?;
-    let trailer_offset = {
-        let mut tail = full.slice(total - 8..);
-        usize::try_from(tail.get_u64_le()).map_err(|_| err("trailer offset overflow"))?
-    };
-    if trailer_offset < first_chunk || trailer_offset > total - 8 {
-        return Err(err("trailer offset out of bounds"));
-    }
-    let dir = parse_v3_directory(
-        full.slice(trailer_offset..total - 8),
-        first_chunk as u64,
-        trailer_offset as u64,
-    )?;
-    if checksum32(&full[..first_chunk]) != dir.header_sum {
-        return Err(err("checksum mismatch in snapshot header"));
-    }
-
-    let chunks: Vec<(u8, usize, ChunkEntry)> = dir
-        .sections
-        .iter()
-        .flat_map(|d| d.chunks.iter().enumerate().map(|(k, &c)| (d.id, k, c)))
-        .collect();
-    let decoded = map_parallel(jobs, chunks.len(), |i| {
-        let (id, k, e) = chunks[i];
-        let frame_start = e.offset as usize;
-        let hdr_len = parse_v3_chunk_header(
-            full.slice(frame_start..trailer_offset.min(frame_start + 32)),
-            id,
-            k,
-            &e,
-        )?;
-        let payload = full.slice(frame_start + hdr_len..frame_start + hdr_len + e.len as usize);
-        if checksum32(&payload) != e.sum {
-            return Err(err(format!(
-                "checksum mismatch in {} section chunk {k}",
-                section_name(id)
-            )));
-        }
-        decode_v3_chunk(id, k, e.n_records as usize, payload)
-    });
-
-    let mut accounts = Vec::with_capacity(dir.sections[0].total_records as usize);
-    let mut friendships = Vec::with_capacity(dir.sections[1].total_records as usize);
-    let mut ownerships = Vec::with_capacity(dir.sections[2].total_records as usize);
-    let mut groups = Vec::with_capacity(dir.sections[3].total_records as usize);
-    let mut memberships = Vec::with_capacity(dir.sections[4].total_records as usize);
-    let mut catalog = Vec::with_capacity(dir.sections[5].total_records as usize);
-    for chunk in decoded {
-        match chunk? {
-            Section::Accounts(v) => accounts.extend(v),
-            Section::Friendships(v) => friendships.extend(v),
-            Section::Ownerships(v) => ownerships.extend(v),
-            Section::Groups(v) => groups.extend(v),
-            Section::Memberships(v) => memberships.extend(v),
-            Section::Catalog(v) => catalog.extend(v),
-        }
-    }
-    if ownerships.len() != accounts.len() || memberships.len() != accounts.len() {
-        return Err(err(format!(
-            "per-account sections disagree: {} accounts, {} libraries, {} membership lists",
-            accounts.len(),
-            ownerships.len(),
-            memberships.len()
-        )));
-    }
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
-}
-
-/// Reads just the magic + version byte of a snapshot file, without loading
-/// or validating the body — how callers decide between the streaming
-/// [`SnapshotReader`](crate::reader) (v3) and a full decode (v1/v2).
-pub fn snapshot_file_version(path: &std::path::Path) -> Result<u8, ModelError> {
-    use std::io::Read;
-    let mut head = [0u8; 5];
-    let mut f = std::fs::File::open(path)?;
-    f.read_exact(&mut head).map_err(|_| err("snapshot file too short"))?;
-    if &head[..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    Ok(head[4])
-}
-
 /// Serializes a week panel (Figure 12 sample).
 pub fn encode_panel(p: &WeekPanel) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + p.users.len() * 16);
     buf.put_slice(b"CSWP");
-    buf.put_u8(VERSION);
+    buf.put_u8(PANEL_VERSION);
     put_varu64(&mut buf, p.users.len() as u64);
     for (u, days) in p.users.iter().zip(&p.daily_minutes) {
         put_varu64(&mut buf, u64::from(*u));
@@ -1676,7 +860,7 @@ pub fn decode_panel(mut buf: Bytes) -> Result<WeekPanel, ModelError> {
     if buf.remaining() < 5 || &buf.split_to(4)[..] != b"CSWP" {
         return Err(err("bad panel magic"));
     }
-    if buf.get_u8() != VERSION {
+    if buf.get_u8() != PANEL_VERSION {
         return Err(err("unsupported panel version"));
     }
     let n = get_len(&mut buf, 8, "panel user")?;
@@ -1697,30 +881,12 @@ pub fn decode_panel(mut buf: Bytes) -> Result<WeekPanel, ModelError> {
     Ok(panel)
 }
 
-/// Writes a snapshot to a file atomically (temp + fsync + rename), so a
-/// crash mid-write can never leave a truncated snapshot under `path`.
-pub fn write_snapshot(path: &std::path::Path, s: &Snapshot) -> Result<(), ModelError> {
-    write_atomic(path, &encode_snapshot(s))
-}
-
-/// Reads a snapshot from a file (either container version).
+/// Reads and fully decodes a snapshot file.
 pub fn read_snapshot(path: &std::path::Path) -> Result<Snapshot, ModelError> {
-    let raw = std::fs::read(path)?;
-    decode_snapshot(Bytes::from(raw))
+    read_snapshot_jobs(path, 1)
 }
 
-/// Writes a snapshot in the sectioned v2 container, encoding sections on up
-/// to `jobs` workers; atomic like [`write_snapshot`].
-pub fn write_snapshot_jobs(
-    path: &std::path::Path,
-    s: &Snapshot,
-    jobs: usize,
-) -> Result<(), ModelError> {
-    write_atomic(path, &encode_snapshot_jobs(s, jobs))
-}
-
-/// Reads a snapshot from a file (either container version), decoding v2
-/// sections on up to `jobs` workers.
+/// Reads a snapshot file into memory and decodes it on up to `jobs` workers.
 pub fn read_snapshot_jobs(path: &std::path::Path, jobs: usize) -> Result<Snapshot, ModelError> {
     let raw = std::fs::read(path)?;
     decode_snapshot_jobs(Bytes::from(raw), jobs)
@@ -1864,7 +1030,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let s = sample_snapshot();
-        let bytes = encode_snapshot(&s);
+        let bytes = encode_snapshot_v3(&s, 1);
         let d = decode_snapshot(bytes).unwrap();
         assert_eq!(d.collected_at, s.collected_at);
         assert_eq!(d.scanned_id_space, s.scanned_id_space);
@@ -1889,14 +1055,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut raw = encode_snapshot(&sample_snapshot()).to_vec();
+        let mut raw = encode_snapshot_v3(&sample_snapshot(), 1).to_vec();
         raw[4] = 99;
         assert!(decode_snapshot(Bytes::from(raw)).is_err());
     }
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let raw = encode_snapshot(&sample_snapshot());
+        let raw = encode_snapshot_v3(&sample_snapshot(), 1);
         // Chopping the buffer at any point must produce an error, not a panic
         // or a silently-wrong snapshot.
         for cut in 0..raw.len() {
@@ -1907,7 +1073,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut raw = encode_snapshot(&sample_snapshot()).to_vec();
+        let mut raw = encode_snapshot_v3(&sample_snapshot(), 1).to_vec();
         raw.push(0);
         assert!(decode_snapshot(Bytes::from(raw)).is_err());
     }
@@ -2066,112 +1232,17 @@ mod tests {
     }
 
     #[test]
-    fn sectioned_snapshot_round_trips() {
-        let s = sample_snapshot();
-        for jobs in [1, 4] {
-            let bytes = encode_snapshot_jobs(&s, jobs);
-            assert_eq!(bytes[4], VERSION_SECTIONED);
-            for decode_jobs in [1, 4] {
-                let d = decode_snapshot_jobs(bytes.clone(), decode_jobs).unwrap();
-                assert_eq!(d.collected_at, s.collected_at);
-                assert_eq!(d.scanned_id_space, s.scanned_id_space);
-                assert_eq!(d.accounts, s.accounts);
-                assert_eq!(d.friendships, s.friendships);
-                assert_eq!(d.ownerships, s.ownerships);
-                assert_eq!(d.groups, s.groups);
-                assert_eq!(d.memberships, s.memberships);
-                assert_eq!(d.catalog, s.catalog);
-                d.validate().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn sectioned_encode_is_jobs_invariant() {
-        let s = sample_snapshot();
-        let serial = encode_snapshot_jobs(&s, 1);
-        let parallel = encode_snapshot_jobs(&s, 6);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn v1_remains_readable_through_the_dispatcher() {
-        let s = sample_snapshot();
-        let v1 = encode_snapshot(&s);
-        let d = decode_snapshot_jobs(v1, 4).unwrap();
-        assert_eq!(d.accounts, s.accounts);
-        assert_eq!(d.ownerships, s.ownerships);
-    }
-
-    #[test]
-    fn sectioned_rejects_truncation_anywhere() {
-        let raw = encode_snapshot_jobs(&sample_snapshot(), 1);
-        for cut in 0..raw.len() {
-            let r = decode_snapshot(raw.slice(..cut));
-            assert!(r.is_err(), "cut at {cut} decoded successfully");
-        }
-    }
-
-    #[test]
-    fn sectioned_rejects_corrupt_section_byte() {
-        let clean = encode_snapshot_jobs(&sample_snapshot(), 1);
-        // Flip every byte in turn; decode must error (never panic) except
-        // when the flip lands somewhere genuinely immaterial — there is no
-        // such place in this format, so all flips must fail.
-        for at in 0..clean.len() {
-            let mut raw = clean.to_vec();
-            raw[at] ^= 0x01;
-            let r = decode_snapshot(Bytes::from(raw));
-            assert!(r.is_err(), "flip at {at} decoded successfully");
-        }
-    }
-
-    #[test]
-    fn sectioned_names_the_corrupt_section() {
-        let s = sample_snapshot();
-        let clean = encode_snapshot_jobs(&s, 1);
-        // Corrupt one payload byte inside the catalog section (the last
-        // section before the trailer) while keeping its framing intact:
-        // recompute nothing, so the stored checksum no longer matches.
-        let catalog_payload = encode_section_payload(&s, SECTION_CATALOG);
-        let pos = clean
-            .windows(catalog_payload.len())
-            .position(|w| w == &catalog_payload[..])
-            .expect("catalog payload not found");
-        let mut raw = clean.to_vec();
-        raw[pos + catalog_payload.len() - 1] ^= 0xff;
-        let e = decode_snapshot(Bytes::from(raw)).unwrap_err();
-        assert!(
-            e.to_string().contains("catalog"),
-            "error should name the damaged section: {e}"
-        );
-    }
-
-    #[test]
-    fn file_round_trip_sectioned() {
-        let dir = std::env::temp_dir().join("steam-model-test-v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.bin");
-        let s = sample_snapshot();
-        write_snapshot_jobs(&path, &s, 4).unwrap();
-        let d = read_snapshot_jobs(&path, 4).unwrap();
-        assert_eq!(d.n_users(), s.n_users());
-        // The generic reader handles v2 files too.
-        let d2 = read_snapshot(&path).unwrap();
-        assert_eq!(d2.n_users(), s.n_users());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("steam-model-test");
+        let dir = std::env::temp_dir().join(format!("steam-model-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.bin");
         let s = sample_snapshot();
-        write_snapshot(&path, &s).unwrap();
+        write_snapshot_v3(&path, &s, 1).unwrap();
         let d = read_snapshot(&path).unwrap();
         assert_eq!(d.n_users(), s.n_users());
-        std::fs::remove_file(&path).ok();
+        let d = read_snapshot_jobs(&path, 4).unwrap();
+        assert_eq!(d.accounts, s.accounts);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     // --- v3 (chunked columnar) ----------------------------------------------
@@ -2266,19 +1337,7 @@ mod tests {
         let clean = encode_snapshot_v3_caps(&s, 1, cap3);
         // Locate chunk 1 of the accounts section via the directory, then
         // corrupt one payload byte so only its checksum can notice.
-        let total = clean.len();
-        let (_, _, first_chunk) = parse_v3_header(clean.slice(..64.min(total))).unwrap();
-        let trailer_offset = {
-            let mut tail = clean.slice(total - 8..);
-            tail.get_u64_le() as usize
-        };
-        let dir = parse_v3_directory(
-            clean.slice(trailer_offset..total - 8),
-            first_chunk as u64,
-            trailer_offset as u64,
-        )
-        .unwrap();
-        let e = dir.sections[SECTION_ACCOUNTS as usize].chunks[1];
+        let e = SnapshotReader::from_bytes(clean.clone()).unwrap().dir(SECTION_ACCOUNTS).chunks[1];
         let hdr_len = 1 + varu64_len(e.n_records) + varu64_len(e.len) + 4;
         let mut raw = clean.to_vec();
         raw[(e.offset + hdr_len) as usize] ^= 0xff;
@@ -2289,20 +1348,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn file_version_probe() {
-        let dir = std::env::temp_dir().join(format!("steam-model-ver-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = sample_snapshot();
-        let p1 = dir.join("v1.bin");
-        let p2 = dir.join("v2.bin");
-        let p3 = dir.join("v3.bin");
-        write_snapshot(&p1, &s).unwrap();
-        write_snapshot_jobs(&p2, &s, 1).unwrap();
-        write_snapshot_v3(&p3, &s, 1).unwrap();
-        assert_eq!(snapshot_file_version(&p1).unwrap(), VERSION);
-        assert_eq!(snapshot_file_version(&p2).unwrap(), VERSION_SECTIONED);
-        assert_eq!(snapshot_file_version(&p3).unwrap(), VERSION_CHUNKED);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
