@@ -30,6 +30,7 @@ mod trace_view;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use args::Args;
 use steam_analysis::{
@@ -183,8 +184,10 @@ COMMANDS
                                peak memory stays bounded by the per-user
                                aggregate columns instead of the whole world.
                                Output is byte-identical in both modes.
-             --timings         print a per-experiment timing table to stderr
-                               (stdout stays byte-identical)
+             --timings         print to stderr a timing table (open, context
+                               build, each experiment) and per-section
+                               chunk-read counters (stdout stays
+                               byte-identical)
   export     Write the figures' underlying series as TSV files
              --snapshot PATH   snapshot (default snapshot.bin)
              --panel PATH      week panel (adds figure12.tsv)
@@ -612,6 +615,32 @@ fn report_ctx<'a>(loaded: &'a Loaded, jobs: usize) -> Result<Ctx<'a>, String> {
     }
 }
 
+/// Per-section chunk-read counters of a streamed snapshot, for
+/// `report --timings`: chunks decoded, whole-section passes that amounts
+/// to, and payload bytes checksummed.
+fn render_reader_stats(path: &str, loaded: &Loaded) -> String {
+    let Loaded::Stream(reader) = loaded else {
+        return format!("chunk reads {path}: none (decoded in full by --in-memory)\n");
+    };
+    let backing = if reader.is_mapped() { "mmap" } else { "pread" };
+    let mut out = format!("chunk reads {path} ({backing})\n");
+    out.push_str(&format!(
+        "{:<12}  {:>7}  {:>8}  {:>6}  {:>12}\n",
+        "section", "chunks", "decoded", "passes", "verified"
+    ));
+    for s in reader.stats() {
+        out.push_str(&format!(
+            "{:<12}  {:>7}  {:>8}  {:>6.1}  {:>9.1} MB\n",
+            s.section,
+            s.n_chunks,
+            s.chunks_decoded,
+            s.passes(),
+            s.bytes_verified as f64 / 1e6
+        ));
+    }
+    out
+}
+
 fn cmd_report(args: &Args) -> Result<(), String> {
     let default_jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs = args.get_parse("jobs", default_jobs)?;
@@ -620,10 +649,11 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     }
     let in_memory = args.has("in-memory");
 
+    let open_start = Instant::now();
     let path = args.get_or("snapshot", "snapshot.bin");
     let loaded = load_for_report(path, in_memory, jobs)?;
     let second = match args.get("second") {
-        Some(p) => Some(load_for_report(p, in_memory, jobs)?),
+        Some(p) => Some((p, load_for_report(p, in_memory, jobs)?)),
         None => None,
     };
     let panel = match args.get("panel") {
@@ -633,23 +663,27 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
+    let open = open_start.elapsed();
 
+    let ctx_start = Instant::now();
     let ctx = report_ctx(&loaded, jobs)?;
     let second_ctx = match &second {
-        Some(l) => Some(report_ctx(l, jobs)?),
+        Some((_, l)) => Some(report_ctx(l, jobs)?),
         None => None,
     };
+    let ctx_build = ctx_start.elapsed();
     let input = ReportInput { ctx: &ctx, second: second_ctx.as_ref(), panel: panel.as_ref() };
 
     let which = args.get_or("experiment", "all");
     let timings = args.has("timings");
-    if which == "all" {
+    let timed = if which == "all" {
         if timings {
             let (text, t) = render_full_report_timed(&input, jobs);
             print!("{text}");
-            eprint!("{}", t.render_table());
+            Some(t)
         } else {
             print!("{}", render_full_report(&input, jobs));
+            None
         }
     } else {
         let e = Experiment::from_name(which)
@@ -657,9 +691,18 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         if timings {
             let (rendered, t) = render_experiments_timed(&input, &[e], jobs);
             println!("{}", rendered[0].1);
-            eprint!("{}", t.render_table());
+            Some(t)
         } else {
             println!("{}", render_with_jobs(&input, e, jobs));
+            None
+        }
+    };
+    if let Some(mut t) = timed {
+        t.setup = vec![("open".into(), open), ("context build".into(), ctx_build)];
+        eprint!("{}", t.render_table());
+        eprint!("{}", render_reader_stats(path, &loaded));
+        if let Some((p, l)) = &second {
+            eprint!("{}", render_reader_stats(p, l));
         }
     }
     Ok(())

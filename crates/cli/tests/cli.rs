@@ -299,6 +299,10 @@ fn report_timings_go_to_stderr_and_stdout_is_unchanged() {
     assert!(table.contains("experiment"), "{table}");
     assert!(table.contains("utilization"), "{table}");
     assert!(table.contains("table4"), "{table}");
+    // The setup rows and the streamed snapshot's chunk-read counters.
+    for row in ["open", "context build", "chunk reads", "friendships", "passes", "verified"] {
+        assert!(table.contains(row), "{row} missing: {table}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use steam_graph::{degrees_in_years_with, Csr};
+use steam_graph::{degrees_by_year_with, Csr, YearDegrees};
 use steam_model::{
     AppId, CountryCode, Friendship, ModelError, SimTime, Snapshot, SnapshotReader,
 };
@@ -168,10 +168,11 @@ impl<'a> Ctx<'a> {
         self.world.for_each_friendship(f);
     }
 
-    /// Per-node degree counting only edges created in `[from, to]` (by
-    /// calendar year), via one pass over the edges.
-    pub fn degrees_in_years(&self, from: i32, to: i32) -> Vec<u32> {
-        degrees_in_years_with(self.n_users(), |f| self.world.for_each_friendship(f), from, to)
+    /// Per-node degrees for every single year `first..=last`, plus those
+    /// from edges before `first`, via one pass over the edges: every
+    /// `[y, y]` and `(-∞, y]` calendar-year window at the cost of one.
+    pub fn degrees_by_year(&self, first: i32, last: i32) -> YearDegrees {
+        degrees_by_year_with(self.n_users(), |f| self.world.for_each_friendship(f), first, last)
     }
 
     /// Dollars from cents.

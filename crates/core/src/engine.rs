@@ -48,6 +48,10 @@ pub struct ReportTimings {
     pub wall: Duration,
     /// Per-experiment wall times, in [`Experiment::ALL`]/input order.
     pub per_experiment: Vec<ExperimentTiming>,
+    /// Wall times of the work before the experiments (opening snapshots,
+    /// building contexts), in order. The engine leaves this empty; the
+    /// caller that did that work fills it in so one table shows it all.
+    pub setup: Vec<(String, Duration)>,
 }
 
 impl ReportTimings {
@@ -80,6 +84,13 @@ impl ReportTimings {
             .unwrap_or(10)
             .max("experiment".len());
         let mut out = String::new();
+        if !self.setup.is_empty() {
+            let setup_w = self.setup.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(name_w);
+            out.push_str(&format!("{:<setup_w$}  {:>10}\n", "setup", "wall"));
+            for (name, wall) in &self.setup {
+                out.push_str(&format!("{name:<setup_w$}  {wall:>10.3?}\n"));
+            }
+        }
         out.push_str(&format!("{:<name_w$}  {:>10}  {:>6}\n", "experiment", "wall", "share"));
         let busy = self.busy().as_secs_f64();
         for t in rows {
@@ -130,7 +141,8 @@ pub fn render_experiments_timed(
             rendered.push((e, render_with_jobs(input, e, jobs)));
             per_experiment.push(ExperimentTiming { experiment: e, wall: start.elapsed() });
         }
-        let timings = ReportTimings { jobs, wall: run_start.elapsed(), per_experiment };
+        let timings =
+            ReportTimings { jobs, wall: run_start.elapsed(), per_experiment, setup: Vec::new() };
         return (rendered, timings);
     }
 
@@ -160,7 +172,8 @@ pub fn render_experiments_timed(
         rendered.push((e, text));
         per_experiment.push(ExperimentTiming { experiment: e, wall });
     }
-    let timings = ReportTimings { jobs, wall: run_start.elapsed(), per_experiment };
+    let timings =
+        ReportTimings { jobs, wall: run_start.elapsed(), per_experiment, setup: Vec::new() };
     (rendered, timings)
 }
 

@@ -76,11 +76,11 @@ pub struct DegreeSeries {
 /// Figure 2: degree distributions per year plus the full network.
 pub fn degree_distributions(ctx: &Ctx) -> Vec<DegreeSeries> {
     let mut out = Vec::new();
+    let by_year = ctx.degrees_by_year(2009, 2013);
     for year in 2009..=2013 {
-        let deg = ctx.degrees_in_years(year, year);
         out.push(DegreeSeries {
             label: format!("{year} only"),
-            points: frequency_u32(&deg)
+            points: frequency_u32(by_year.year(year))
                 .into_iter()
                 .filter(|&(d, _)| d > 0)
                 .collect(),

@@ -6,8 +6,18 @@
 //! and produce byte-identical results. In streaming mode only the small
 //! shared sections (catalog, groups) are cached; the per-user sections
 //! (accounts, libraries, memberships) and the friendship edges are decoded
-//! one chunk at a time and dropped, bounding resident memory by one chunk
-//! per concurrent pass instead of the whole section.
+//! one chunk at a time, bounding resident memory by one chunk per
+//! concurrent pass instead of the whole section.
+//!
+//! The streaming visitors decode in place: friendship and account records
+//! go from the chunk's bytes (borrowed from the file mapping) straight to
+//! the closure, and library and membership chunks are refilled into one
+//! reused [`FlatRows`] buffer per pass, never a `Vec` per user. Every chunk
+//! access still verifies the chunk's checksum. Analyses over the friendship
+//! edges are built to need few passes — one per distinct question (the
+//! per-year degree table answers Table 4's ten windows and Figure 2's five
+//! in one pass each) — since each pass re-reads and re-verifies every edge
+//! chunk.
 //!
 //! Chunk reads that fail mid-pass abort the process with a message naming
 //! the failing section and chunk. The reader validates the header, the
@@ -17,7 +27,7 @@
 
 use steam_graph::EdgeChunks;
 use steam_model::{
-    Account, Friendship, Game, Group, ModelError, OwnedGame, Snapshot, SnapshotReader,
+    Account, FlatRows, Friendship, Game, Group, ModelError, OwnedGame, Snapshot, SnapshotReader,
 };
 
 /// Visitor for [`WorldView::for_each_membership_lib`]: receives the user
@@ -49,9 +59,7 @@ impl EdgeChunks for FriendshipChunks<'_> {
     }
 
     fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32)) {
-        for e in &chunk_or_die(self.0.friendship_chunk(k), "friendships", k) {
-            f(e.a, e.b);
-        }
+        chunk_or_die(self.0.visit_friendship_chunk(k, |e| f(e.a, e.b)), "friendships", k);
     }
 }
 
@@ -117,10 +125,8 @@ impl<'a> WorldView<'a> {
             WorldView::Stream(v) => {
                 for k in 0..v.reader.n_account_chunks() {
                     let base = v.reader.account_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.account_chunk(k), "accounts", k);
-                    for (i, a) in chunk.iter().enumerate() {
-                        f(base + i, a);
-                    }
+                    let visited = v.reader.visit_account_chunk(k, |i, a| f(base + i, &a));
+                    chunk_or_die(visited, "accounts", k);
                 }
             }
         }
@@ -136,9 +142,7 @@ impl<'a> WorldView<'a> {
             }
             WorldView::Stream(v) => {
                 for k in 0..v.reader.n_friendship_chunks() {
-                    for e in &chunk_or_die(v.reader.friendship_chunk(k), "friendships", k) {
-                        f(e);
-                    }
+                    chunk_or_die(v.reader.visit_friendship_chunk(k, |e| f(&e)), "friendships", k);
                 }
             }
         }
@@ -153,10 +157,11 @@ impl<'a> WorldView<'a> {
                 }
             }
             WorldView::Stream(v) => {
+                let mut rows = FlatRows::new();
                 for k in 0..v.reader.n_library_chunks() {
                     let base = v.reader.library_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.library_chunk(k), "ownerships", k);
-                    for (i, lib) in chunk.iter().enumerate() {
+                    chunk_or_die(v.reader.library_chunk_into(k, &mut rows), "ownerships", k);
+                    for (i, lib) in rows.rows().enumerate() {
                         f(base + i, lib);
                     }
                 }
@@ -173,10 +178,11 @@ impl<'a> WorldView<'a> {
                 }
             }
             WorldView::Stream(v) => {
+                let mut rows = FlatRows::new();
                 for k in 0..v.reader.n_membership_chunks() {
                     let base = v.reader.membership_chunk_start(k);
-                    let chunk = chunk_or_die(v.reader.membership_chunk(k), "memberships", k);
-                    for (i, ms) in chunk.iter().enumerate() {
+                    chunk_or_die(v.reader.membership_chunk_into(k, &mut rows), "memberships", k);
+                    for (i, ms) in rows.rows().enumerate() {
                         f(base + i, ms);
                     }
                 }
@@ -197,24 +203,26 @@ impl<'a> WorldView<'a> {
             }
             WorldView::Stream(v) => {
                 let n = v.reader.n_users();
-                let mut ms_buf: Vec<Vec<u32>> = Vec::new();
+                let mut ms_rows = FlatRows::new();
                 let mut ms_base = 0usize;
                 let mut ms_k = 0usize;
-                let mut lib_buf: Vec<Vec<OwnedGame>> = Vec::new();
+                let mut lib_rows = FlatRows::new();
                 let mut lib_base = 0usize;
                 let mut lib_k = 0usize;
                 for u in 0..n {
-                    while u >= ms_base + ms_buf.len() {
+                    while u >= ms_base + ms_rows.len() {
                         ms_base = v.reader.membership_chunk_start(ms_k);
-                        ms_buf = chunk_or_die(v.reader.membership_chunk(ms_k), "memberships", ms_k);
+                        let read = v.reader.membership_chunk_into(ms_k, &mut ms_rows);
+                        chunk_or_die(read, "memberships", ms_k);
                         ms_k += 1;
                     }
-                    while u >= lib_base + lib_buf.len() {
+                    while u >= lib_base + lib_rows.len() {
                         lib_base = v.reader.library_chunk_start(lib_k);
-                        lib_buf = chunk_or_die(v.reader.library_chunk(lib_k), "ownerships", lib_k);
+                        let read = v.reader.library_chunk_into(lib_k, &mut lib_rows);
+                        chunk_or_die(read, "ownerships", lib_k);
                         lib_k += 1;
                     }
-                    f(u, &ms_buf[u - ms_base], &lib_buf[u - lib_base]);
+                    f(u, ms_rows.row(u - ms_base), lib_rows.row(u - lib_base));
                 }
             }
         }

@@ -130,6 +130,82 @@ where
     deg
 }
 
+/// Per-node degrees split by the calendar year of each edge, from one pass
+/// over the edges (see [`degrees_by_year_with`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct YearDegrees {
+    /// First year with a column of its own.
+    pub first: i32,
+    /// Per-node degree counting only edges created before `first`.
+    pub before: Vec<u32>,
+    /// `years[i]`: per-node degree counting only edges created in year
+    /// `first + i`. Edges after the last year are not counted anywhere.
+    pub years: Vec<Vec<u32>>,
+}
+
+impl YearDegrees {
+    /// Last year with a column.
+    pub fn last(&self) -> i32 {
+        self.first + self.years.len() as i32 - 1
+    }
+
+    /// Degrees from edges created in `year` alone: the `[year, year]` window
+    /// of [`degrees_in_years`]. Panics unless `first <= year <= last`.
+    pub fn year(&self, year: i32) -> &[u32] {
+        assert!(
+            year >= self.first && year <= self.last(),
+            "year {year} outside the table"
+        );
+        &self.years[(year - self.first) as usize]
+    }
+
+    /// Degrees from edges created up to and including `year`: the
+    /// `(-∞, year]` window of [`degrees_in_years`], as a prefix sum.
+    /// Panics unless `first - 1 <= year <= last`.
+    pub fn through(&self, year: i32) -> Vec<u32> {
+        assert!(
+            year >= self.first - 1 && year <= self.last(),
+            "year {year} outside the table"
+        );
+        let mut deg = self.before.clone();
+        for column in &self.years[..(year - self.first + 1) as usize] {
+            for (d, &c) in deg.iter_mut().zip(column) {
+                *d += c;
+            }
+        }
+        deg
+    }
+}
+
+/// Every single-year degree vector of `first..=last`, plus the degrees from
+/// edges before `first`, in one pass over the edges — where calling
+/// [`degrees_in_years_with`] once per window would re-walk them each time.
+pub fn degrees_by_year_with<F>(n_nodes: usize, visit_edges: F, first: i32, last: i32) -> YearDegrees
+where
+    F: Fn(&mut dyn FnMut(&Friendship)),
+{
+    assert!(first <= last);
+    let mut before = vec![0u32; n_nodes];
+    let mut years = vec![vec![0u32; n_nodes]; (last - first + 1) as usize];
+    visit_edges(&mut |e| {
+        let y = e.created_at.year();
+        let deg = if y < first {
+            &mut before
+        } else if y <= last {
+            &mut years[(y - first) as usize]
+        } else {
+            return;
+        };
+        deg[e.a as usize] += 1;
+        deg[e.b as usize] += 1;
+    });
+    YearDegrees {
+        first,
+        before,
+        years,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +225,15 @@ mod tests {
         ];
         let ev = yearly_evolution(&created, &edges, 2008, 2011);
         assert_eq!(ev.len(), 4);
-        assert_eq!(ev[0], YearPoint { year: 2008, cumulative_users: 1, cumulative_friendships: 0, new_friendships: 0 });
+        assert_eq!(
+            ev[0],
+            YearPoint {
+                year: 2008,
+                cumulative_users: 1,
+                cumulative_friendships: 0,
+                new_friendships: 0
+            }
+        );
         assert_eq!(ev[1].cumulative_users, 3);
         assert_eq!(ev[1].cumulative_friendships, 1);
         assert_eq!(ev[2].cumulative_friendships, 3);
@@ -181,7 +265,38 @@ mod tests {
         // Through 2010.
         assert_eq!(degrees_in_years(3, &edges, i32::MIN, 2010), vec![2, 1, 1]);
         // Everything.
-        assert_eq!(degrees_in_years(3, &edges, i32::MIN, i32::MAX), vec![2, 2, 2]);
+        assert_eq!(
+            degrees_in_years(3, &edges, i32::MIN, i32::MAX),
+            vec![2, 2, 2]
+        );
+    }
+
+    #[test]
+    fn year_table_matches_per_window_degrees() {
+        // Edges before, inside and after the table's years.
+        let edges = vec![
+            Friendship::new(0, 1, t(2006)),
+            Friendship::new(0, 2, t(2009)),
+            Friendship::new(1, 3, t(2010)),
+            Friendship::new(2, 3, t(2010)),
+            Friendship::new(0, 3, t(2013)),
+            Friendship::new(1, 2, t(2015)),
+        ];
+        let visit = |f: &mut dyn FnMut(&Friendship)| edges.iter().for_each(f);
+        let table = degrees_by_year_with(4, visit, 2009, 2013);
+        assert_eq!(table.before, vec![1, 1, 0, 0]);
+        assert_eq!(table.through(2008), table.before);
+        for y in 2009..=2013 {
+            assert_eq!(table.year(y), degrees_in_years(4, &edges, y, y), "{y} only");
+            assert_eq!(
+                table.through(y),
+                degrees_in_years(4, &edges, i32::MIN, y),
+                "through {y}"
+            );
+        }
+        let empty = degrees_by_year_with(3, |_| {}, 2009, 2013);
+        assert_eq!(empty.through(2013), vec![0, 0, 0]);
+        assert_eq!(empty.year(2011), &[0, 0, 0]);
     }
 
     #[test]

@@ -4,9 +4,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use steam_graph::{
-    bfs_crawl, connected_components, degree_assortativity, mean_clustering, neighbor_mean,
-    small_world, Csr,
+    bfs_crawl, connected_components, degree_assortativity, degrees_by_year_with, degrees_in_years,
+    mean_clustering, neighbor_mean, small_world, Csr,
 };
+use steam_model::{Friendship, SimTime};
 
 /// Random edge list over `n` nodes with no duplicate undirected edges.
 fn arb_graph(max_nodes: u32) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -106,6 +107,24 @@ proptest! {
         let hi_v = attr.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for m in neighbor_mean(&g, &attr).into_iter().flatten() {
             prop_assert!(m >= lo_v - 1e-9 && m <= hi_v + 1e-9);
+        }
+    }
+
+    #[test]
+    fn year_table_matches_every_window(
+        (n, edges) in arb_graph(40),
+        years in vec(2004i32..2018, 80),
+    ) {
+        // Edge years straddle the table: before 2009, inside, after 2013.
+        let edges: Vec<Friendship> = edges
+            .iter()
+            .zip(years.iter().cycle())
+            .map(|(&(a, b), &y)| Friendship::new(a, b, SimTime::from_ymd(y, 3, 1)))
+            .collect();
+        let table = degrees_by_year_with(n, |f| edges.iter().for_each(f), 2009, 2013);
+        for y in 2009..=2013 {
+            prop_assert_eq!(table.year(y), &degrees_in_years(n, &edges, y, y)[..]);
+            prop_assert_eq!(table.through(y), degrees_in_years(n, &edges, i32::MIN, y));
         }
     }
 }

@@ -57,7 +57,7 @@ use crate::game::{Achievement, AppId, AppType, Game, GenreSet};
 use crate::group::{Group, GroupId, GroupKind};
 use crate::id::SteamId;
 use crate::ownership::OwnedGame;
-use crate::reader::SnapshotReader;
+use crate::reader::{FlatRows, SnapshotReader};
 use crate::snapshot::{Friendship, Snapshot, WeekPanel};
 use crate::time::SimTime;
 
@@ -94,6 +94,11 @@ pub(crate) fn err(msg: impl Into<String>) -> ModelError {
 //
 // Public: the crawler's checkpoint journal encodes its records with the same
 // primitives the snapshot format uses, so both stay in one place.
+//
+// Every decoder reads from the front of a `&mut &[u8]` and advances it past
+// what it consumed; nothing is read without a bounds check. The `get_*`
+// functions over `Bytes` are thin adapters onto those slice readers (see
+// [`advancing`]), so each record type has exactly one decoder.
 
 /// Appends a LEB128-style varint.
 pub fn put_varu64(buf: &mut BytesMut, mut v: u64) {
@@ -104,24 +109,41 @@ pub fn put_varu64(buf: &mut BytesMut, mut v: u64) {
     buf.put_u8(v as u8);
 }
 
-/// Reads a varint written by [`put_varu64`].
-pub fn get_varu64(buf: &mut Bytes) -> Result<u64, ModelError> {
+/// Reads a varint written by [`put_varu64`] from the front of `buf`.
+#[inline]
+pub(crate) fn read_varu64(buf: &mut &[u8]) -> Result<u64, ModelError> {
     let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        if !buf.has_remaining() {
-            return Err(err("truncated varint"));
-        }
-        let b = buf.get_u8();
+    let mut shift = 0u32;
+    for (i, &b) in buf.iter().enumerate() {
         if shift >= 64 || (shift == 63 && b > 1) {
             return Err(err("varint overflow"));
         }
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
+            *buf = &buf[i + 1..];
             return Ok(v);
         }
         shift += 7;
     }
+    Err(err("truncated varint"))
+}
+
+/// Runs the slice decoder `f` over the front of `buf`, then advances `buf`
+/// past the bytes it consumed.
+fn advancing<T>(
+    buf: &mut Bytes,
+    f: impl FnOnce(&mut &[u8]) -> Result<T, ModelError>,
+) -> Result<T, ModelError> {
+    let mut s: &[u8] = buf;
+    let out = f(&mut s);
+    let used = buf.len() - s.len();
+    buf.advance(used);
+    out
+}
+
+/// Reads a varint written by [`put_varu64`].
+pub fn get_varu64(buf: &mut Bytes) -> Result<u64, ModelError> {
+    advancing(buf, read_varu64)
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -137,9 +159,39 @@ pub fn put_vari64(buf: &mut BytesMut, v: i64) {
     put_varu64(buf, zigzag(v));
 }
 
+/// Reads a signed varint written by [`put_vari64`] from the front of `buf`.
+#[inline]
+pub(crate) fn read_vari64(buf: &mut &[u8]) -> Result<i64, ModelError> {
+    Ok(unzigzag(read_varu64(buf)?))
+}
+
 /// Reads a signed varint written by [`put_vari64`].
 pub fn get_vari64(buf: &mut Bytes) -> Result<i64, ModelError> {
-    Ok(unzigzag(get_varu64(buf)?))
+    advancing(buf, read_vari64)
+}
+
+/// A varint that must fit a `u32`; `what` names the field on overflow.
+#[inline]
+fn read_u32(buf: &mut &[u8], what: &str) -> Result<u32, ModelError> {
+    u32::try_from(read_varu64(buf)?).map_err(|_| err(what))
+}
+
+/// One raw byte; `what` names the record on truncation.
+#[inline]
+fn read_u8(buf: &mut &[u8], what: &str) -> Result<u8, ModelError> {
+    let (&b, rest) = buf.split_first().ok_or_else(|| err(format!("truncated {what}")))?;
+    *buf = rest;
+    Ok(b)
+}
+
+/// `N` raw bytes; `what` names the field on truncation.
+fn read_array<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N], ModelError> {
+    if buf.len() < N {
+        return Err(err(format!("truncated {what}")));
+    }
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    Ok(head.try_into().expect("N bytes"))
 }
 
 /// Appends a length-prefixed UTF-8 string.
@@ -148,24 +200,30 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a string written by [`put_str`].
-pub fn get_str(buf: &mut Bytes) -> Result<String, ModelError> {
-    let len = get_varu64(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated string"));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| err("invalid utf-8 in string"))
+/// Reads a string written by [`put_str`] from the front of `buf`.
+pub(crate) fn read_str(buf: &mut &[u8]) -> Result<String, ModelError> {
+    let len = read_varu64(buf)?;
+    let len = usize::try_from(len).ok().filter(|&l| l <= buf.len());
+    let len = len.ok_or_else(|| err("truncated string"))?;
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(raw).map(str::to_owned).map_err(|_| err("invalid utf-8 in string"))
 }
 
-fn get_len(buf: &mut Bytes, per_item_min: usize, what: &str) -> Result<usize, ModelError> {
-    let n = get_varu64(buf)? as usize;
-    // Reject lengths that cannot possibly fit in the remaining buffer; this
-    // bounds allocations when fed corrupt data.
-    if per_item_min > 0 && n > buf.remaining() / per_item_min {
-        return Err(err(format!("implausible {what} count {n}")));
+/// Reads a string written by [`put_str`].
+pub fn get_str(buf: &mut Bytes) -> Result<String, ModelError> {
+    advancing(buf, read_str)
+}
+
+/// A record count, rejected when it cannot possibly fit in the rest of
+/// `buf` at `per_item_min` bytes per item; this bounds allocations when fed
+/// corrupt data.
+fn read_len(buf: &mut &[u8], per_item_min: usize, what: &str) -> Result<usize, ModelError> {
+    let n = read_varu64(buf)?;
+    match usize::try_from(n) {
+        Ok(n) if per_item_min == 0 || n <= buf.len() / per_item_min => Ok(n),
+        _ => Err(err(format!("implausible {what} count {n}"))),
     }
-    Ok(n)
 }
 
 // --- entity encoders --------------------------------------------------------
@@ -187,34 +245,31 @@ pub fn put_account(buf: &mut BytesMut, a: &Account) {
     buf.put_u8(u8::from(a.facebook_linked));
 }
 
-/// Reads an account written by [`put_account`].
-pub fn get_account(buf: &mut Bytes) -> Result<Account, ModelError> {
-    let id = SteamId::from_index(get_varu64(buf)?);
-    let created_at = SimTime::from_unix(get_vari64(buf)?);
-    if !buf.has_remaining() {
-        return Err(err("truncated account"));
-    }
-    let visibility =
-        Visibility::from_tag(buf.get_u8()).ok_or_else(|| err("bad visibility tag"))?;
-    let country = match get_varu64(buf)? {
+/// Reads an account written by [`put_account`] from the front of `buf`.
+pub(crate) fn read_account(buf: &mut &[u8]) -> Result<Account, ModelError> {
+    let id = SteamId::from_index(read_varu64(buf)?);
+    let created_at = SimTime::from_unix(read_vari64(buf)?);
+    let visibility = Visibility::from_tag(read_u8(buf, "account")?)
+        .ok_or_else(|| err("bad visibility tag"))?;
+    let country = match read_varu64(buf)? {
         0 => None,
         c => Some(
             CountryCode::from_dense_index(c as usize - 1)
                 .ok_or_else(|| err("bad country index"))?,
         ),
     };
-    let city = match get_varu64(buf)? {
+    let city = match read_varu64(buf)? {
         0 => None,
-        c => Some(
-            u16::try_from(c - 1).map_err(|_| err("city index out of range"))?,
-        ),
+        c => Some(u16::try_from(c - 1).map_err(|_| err("city index out of range"))?),
     };
-    let level = u16::try_from(get_varu64(buf)?).map_err(|_| err("level out of range"))?;
-    if !buf.has_remaining() {
-        return Err(err("truncated account"));
-    }
-    let facebook_linked = buf.get_u8() != 0;
+    let level = u16::try_from(read_varu64(buf)?).map_err(|_| err("level out of range"))?;
+    let facebook_linked = read_u8(buf, "account")? != 0;
     Ok(Account { id, created_at, visibility, country, city, level, facebook_linked })
+}
+
+/// Reads an account written by [`put_account`].
+pub fn get_account(buf: &mut Bytes) -> Result<Account, ModelError> {
+    advancing(buf, read_account)
 }
 
 /// Appends one catalog entry (the same encoding the snapshot body uses).
@@ -240,42 +295,26 @@ pub fn put_game(buf: &mut BytesMut, g: &Game) {
     }
 }
 
-/// Reads a catalog entry written by [`put_game`].
-pub fn get_game(buf: &mut Bytes) -> Result<Game, ModelError> {
-    let app_id = AppId(u32::try_from(get_varu64(buf)?).map_err(|_| err("app id overflow"))?);
-    let name = get_str(buf)?;
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let app_type = AppType::from_tag(buf.get_u8()).ok_or_else(|| err("bad app type"))?;
+/// Reads a catalog entry written by [`put_game`] from the front of `buf`.
+pub(crate) fn read_game(buf: &mut &[u8]) -> Result<Game, ModelError> {
+    let app_id = AppId(read_u32(buf, "app id overflow")?);
+    let name = read_str(buf)?;
+    let app_type = AppType::from_tag(read_u8(buf, "game")?).ok_or_else(|| err("bad app type"))?;
     let genres =
-        GenreSet::from_bits(u16::try_from(get_varu64(buf)?).map_err(|_| err("genre bits"))?);
-    let price_cents = u32::try_from(get_varu64(buf)?).map_err(|_| err("price overflow"))?;
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let multiplayer = buf.get_u8() != 0;
-    let release_date = SimTime::from_unix(get_vari64(buf)?);
-    if !buf.has_remaining() {
-        return Err(err("truncated game"));
-    }
-    let metacritic = match buf.get_u8() {
+        GenreSet::from_bits(u16::try_from(read_varu64(buf)?).map_err(|_| err("genre bits"))?);
+    let price_cents = read_u32(buf, "price overflow")?;
+    let multiplayer = read_u8(buf, "game")? != 0;
+    let release_date = SimTime::from_unix(read_vari64(buf)?);
+    let metacritic = match read_u8(buf, "game")? {
         0 => None,
-        _ => {
-            if !buf.has_remaining() {
-                return Err(err("truncated metacritic"));
-            }
-            Some(buf.get_u8())
-        }
+        _ => Some(read_u8(buf, "metacritic")?),
     };
-    let n_ach = get_len(buf, 5, "achievement")?;
+    let n_ach = read_len(buf, 5, "achievement")?;
     let mut achievements = Vec::with_capacity(n_ach);
     for _ in 0..n_ach {
-        let name = get_str(buf)?;
-        if buf.remaining() < 4 {
-            return Err(err("truncated achievement pct"));
-        }
-        achievements.push(Achievement { name, global_completion_pct: buf.get_f32_le() });
+        let name = read_str(buf)?;
+        let pct = f32::from_le_bytes(read_array(buf, "achievement pct")?);
+        achievements.push(Achievement { name, global_completion_pct: pct });
     }
     Ok(Game {
         app_id,
@@ -290,6 +329,11 @@ pub fn get_game(buf: &mut Bytes) -> Result<Game, ModelError> {
     })
 }
 
+/// Reads a catalog entry written by [`put_game`].
+pub fn get_game(buf: &mut Bytes) -> Result<Game, ModelError> {
+    advancing(buf, read_game)
+}
+
 /// Appends one group record (the same encoding the snapshot body uses).
 pub fn put_group(buf: &mut BytesMut, g: &Group) {
     put_varu64(buf, u64::from(g.id.0));
@@ -297,15 +341,88 @@ pub fn put_group(buf: &mut BytesMut, g: &Group) {
     put_str(buf, &g.name);
 }
 
+/// Reads a group written by [`put_group`] from the front of `buf`.
+pub(crate) fn read_group(buf: &mut &[u8]) -> Result<Group, ModelError> {
+    let id = GroupId(read_u32(buf, "group id")?);
+    let kind = GroupKind::from_tag(read_u8(buf, "group")?).ok_or_else(|| err("bad group kind"))?;
+    let name = read_str(buf)?;
+    Ok(Group { id, kind, name })
+}
+
 /// Reads a group written by [`put_group`].
 pub fn get_group(buf: &mut Bytes) -> Result<Group, ModelError> {
-    let id = GroupId(u32::try_from(get_varu64(buf)?).map_err(|_| err("group id"))?);
-    if !buf.has_remaining() {
-        return Err(err("truncated group"));
+    advancing(buf, read_group)
+}
+
+// --- chunk payload decoders -------------------------------------------------
+//
+// One decoder per per-record section of the snapshot container, each over
+// the `&[u8]` of a chunk payload; `n` is the record count from the chunk's
+// (checksummed) directory entry. Accounts, groups and catalog entries are
+// read one record at a time with the decoders above.
+
+/// Decodes `n` friendship records from the front of `buf`, handing each to
+/// `f` in file order.
+#[inline]
+pub(crate) fn read_friendships(
+    buf: &mut &[u8],
+    n: usize,
+    mut f: impl FnMut(Friendship),
+) -> Result<(), ModelError> {
+    for _ in 0..n {
+        let a = read_u32(buf, "edge endpoint")?;
+        let b = read_u32(buf, "edge endpoint")?;
+        let created_at = SimTime::from_unix(read_vari64(buf)?);
+        f(Friendship { a, b, created_at });
     }
-    let kind = GroupKind::from_tag(buf.get_u8()).ok_or_else(|| err("bad group kind"))?;
-    let name = get_str(buf)?;
-    Ok(Group { id, kind, name })
+    Ok(())
+}
+
+/// Decodes `n` libraries from the front of `buf` into `out`, replacing its
+/// contents.
+pub(crate) fn read_libraries(
+    buf: &mut &[u8],
+    n: usize,
+    out: &mut FlatRows<OwnedGame>,
+) -> Result<(), ModelError> {
+    out.clear();
+    out.ends.reserve(n);
+    for _ in 0..n {
+        let m = read_len(buf, 3, "owned game")?;
+        out.items.reserve(m);
+        for _ in 0..m {
+            let app_id = AppId(read_u32(buf, "app id")?);
+            let forever = read_u32(buf, "playtime")?;
+            let two_weeks = read_u32(buf, "playtime")?;
+            out.items.push(OwnedGame {
+                app_id,
+                playtime_forever_min: forever,
+                playtime_2weeks_min: two_weeks,
+            });
+        }
+        out.ends.push(out.items.len());
+    }
+    Ok(())
+}
+
+/// Decodes `n` membership lists from the front of `buf` into `out`,
+/// replacing its contents.
+pub(crate) fn read_memberships(
+    buf: &mut &[u8],
+    n: usize,
+    out: &mut FlatRows<u32>,
+) -> Result<(), ModelError> {
+    out.clear();
+    out.ends.reserve(n);
+    for _ in 0..n {
+        let m = read_len(buf, 1, "membership")?;
+        out.items.reserve(m);
+        for _ in 0..m {
+            out.items.push(read_u32(buf, "group index")?);
+        }
+        out.ends.push(out.items.len());
+    }
+    Ok(())
 }
 
 // --- checkpoint segments ----------------------------------------------------
@@ -479,16 +596,6 @@ where
         .collect()
 }
 
-/// One decoded section's typed contents.
-pub(crate) enum Section {
-    Accounts(Vec<Account>),
-    Friendships(Vec<Friendship>),
-    Ownerships(Vec<Vec<OwnedGame>>),
-    Groups(Vec<Group>),
-    Memberships(Vec<Vec<u32>>),
-    Catalog(Vec<Game>),
-}
-
 /// Version byte of the chunked columnar snapshot container, the only one.
 pub const VERSION_CHUNKED: u8 = 3;
 
@@ -534,6 +641,12 @@ pub(crate) fn varu64_len(mut v: u64) -> u64 {
         n += 1;
     }
     n
+}
+
+/// Byte length of a chunk's frame header: section id, record count,
+/// payload length, payload checksum.
+pub(crate) fn frame_len(n_records: u64, payload_len: u64) -> u64 {
+    1 + varu64_len(n_records) + varu64_len(payload_len) + 4
 }
 
 fn section_records(s: &Snapshot, id: u8) -> usize {
@@ -745,101 +858,6 @@ fn stream_v3(
     Ok(())
 }
 
-/// Decodes one v3 chunk payload: exactly `n` records, full consumption
-/// required. Errors name the section and chunk.
-pub(crate) fn decode_v3_chunk(
-    id: u8,
-    k: usize,
-    n: usize,
-    mut buf: Bytes,
-) -> Result<Section, ModelError> {
-    let out = (|| -> Result<Section, ModelError> {
-        Ok(match id {
-            SECTION_ACCOUNTS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_account(&mut buf)?);
-                }
-                Section::Accounts(v)
-            }
-            SECTION_FRIENDSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let a = u32::try_from(get_varu64(&mut buf)?)
-                        .map_err(|_| err("edge endpoint"))?;
-                    let b = u32::try_from(get_varu64(&mut buf)?)
-                        .map_err(|_| err("edge endpoint"))?;
-                    let created_at = SimTime::from_unix(get_vari64(&mut buf)?);
-                    v.push(Friendship { a, b, created_at });
-                }
-                Section::Friendships(v)
-            }
-            SECTION_OWNERSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = get_len(&mut buf, 3, "owned game")?;
-                    let mut lib = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let app_id = AppId(
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("app id"))?,
-                        );
-                        let forever =
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                        let two_weeks =
-                            u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("playtime"))?;
-                        lib.push(OwnedGame {
-                            app_id,
-                            playtime_forever_min: forever,
-                            playtime_2weeks_min: two_weeks,
-                        });
-                    }
-                    v.push(lib);
-                }
-                Section::Ownerships(v)
-            }
-            SECTION_GROUPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_group(&mut buf)?);
-                }
-                Section::Groups(v)
-            }
-            SECTION_MEMBERSHIPS => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = get_len(&mut buf, 1, "membership")?;
-                    let mut ms = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        ms.push(
-                            u32::try_from(get_varu64(&mut buf)?)
-                                .map_err(|_| err("group index"))?,
-                        );
-                    }
-                    v.push(ms);
-                }
-                Section::Memberships(v)
-            }
-            SECTION_CATALOG => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(get_game(&mut buf)?);
-                }
-                Section::Catalog(v)
-            }
-            _ => return Err(err(format!("unknown section id {id}"))),
-        })
-    })();
-    let out = out.map_err(|e| err(format!("{} section chunk {k}: {e}", section_name(id))))?;
-    if buf.has_remaining() {
-        return Err(err(format!(
-            "{} trailing bytes in {} section chunk {k}",
-            buf.remaining(),
-            section_name(id)
-        )));
-    }
-    Ok(out)
-}
-
 /// Serializes a week panel (Figure 12 sample).
 pub fn encode_panel(p: &WeekPanel) -> Bytes {
     let mut buf = BytesMut::with_capacity(16 + p.users.len() * 16);
@@ -856,26 +874,26 @@ pub fn encode_panel(p: &WeekPanel) -> Bytes {
 }
 
 /// Deserializes a week panel; the inverse of [`encode_panel`].
-pub fn decode_panel(mut buf: Bytes) -> Result<WeekPanel, ModelError> {
-    if buf.remaining() < 5 || &buf.split_to(4)[..] != b"CSWP" {
+pub fn decode_panel(buf: Bytes) -> Result<WeekPanel, ModelError> {
+    let mut buf: &[u8] = &buf;
+    if buf.len() < 5 || &buf[..4] != b"CSWP" {
         return Err(err("bad panel magic"));
     }
-    if buf.get_u8() != PANEL_VERSION {
+    if buf[4] != PANEL_VERSION {
         return Err(err("unsupported panel version"));
     }
-    let n = get_len(&mut buf, 8, "panel user")?;
+    buf = &buf[5..];
+    let n = read_len(&mut buf, 8, "panel user")?;
     let mut panel = WeekPanel { users: Vec::with_capacity(n), daily_minutes: Vec::with_capacity(n) };
     for _ in 0..n {
-        panel
-            .users
-            .push(u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("panel user"))?);
+        panel.users.push(read_u32(&mut buf, "panel user")?);
         let mut days = [0u32; 7];
         for d in &mut days {
-            *d = u32::try_from(get_varu64(&mut buf)?).map_err(|_| err("panel minutes"))?;
+            *d = read_u32(&mut buf, "panel minutes")?;
         }
         panel.daily_minutes.push(days);
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(err("trailing bytes after panel"));
     }
     Ok(panel)
@@ -1338,7 +1356,7 @@ mod tests {
         // Locate chunk 1 of the accounts section via the directory, then
         // corrupt one payload byte so only its checksum can notice.
         let e = SnapshotReader::from_bytes(clean.clone()).unwrap().dir(SECTION_ACCOUNTS).chunks[1];
-        let hdr_len = 1 + varu64_len(e.n_records) + varu64_len(e.len) + 4;
+        let hdr_len = frame_len(e.n_records, e.len);
         let mut raw = clean.to_vec();
         raw[(e.offset + hdr_len) as usize] ^= 0xff;
         let msg = decode_snapshot(Bytes::from(raw)).unwrap_err().to_string();

@@ -9,8 +9,9 @@ use steam_model::codec::{
     decode_panel, decode_snapshot, decode_snapshot_jobs, encode_panel, encode_snapshot_v3,
 };
 use steam_model::{
-    Account, Achievement, AppId, AppType, CountryCode, Friendship, Game, Genre, GenreSet, Group,
-    GroupId, GroupKind, OwnedGame, SimTime, Snapshot, SteamId, Visibility, WeekPanel,
+    Account, Achievement, AppId, AppType, CountryCode, FlatRows, Friendship, Game, Genre,
+    GenreSet, Group, GroupId, GroupKind, OwnedGame, SimTime, Snapshot, SnapshotReader, SteamId,
+    Visibility, WeekPanel,
 };
 
 fn arb_account(index: u64) -> impl Strategy<Value = Account> {
@@ -204,7 +205,23 @@ proptest! {
         // Same bytes presented as a container body.
         let mut v3 = b"CSTM\x03".to_vec();
         v3.extend_from_slice(&data);
-        let _ = decode_snapshot(Bytes::from(v3));
+        let _ = decode_snapshot(Bytes::from(v3.clone()));
+        // ...and through the in-place chunk visitors, for whatever opens.
+        if let Ok(r) = SnapshotReader::from_bytes(Bytes::from(v3)) {
+            let (mut libs, mut ms) = (FlatRows::new(), FlatRows::new());
+            for k in 0..r.n_account_chunks() {
+                let _ = r.visit_account_chunk(k, |_, _| {});
+            }
+            for k in 0..r.n_friendship_chunks() {
+                let _ = r.visit_friendship_chunk(k, |_| {});
+            }
+            for k in 0..r.n_library_chunks() {
+                let _ = r.library_chunk_into(k, &mut libs);
+            }
+            for k in 0..r.n_membership_chunks() {
+                let _ = r.membership_chunk_into(k, &mut ms);
+            }
+        }
         let _ = decode_panel(Bytes::from(data));
     }
 
