@@ -23,15 +23,17 @@
 //! re-fetches only what is missing, so a killed crawl loses at most the
 //! unflushed journal tail.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use steam_model::{Account, AppId, Friendship, Game, Group, GroupId, Snapshot, SteamId};
+use steam_model::{
+    Account, AppId, Friendship, Game, Group, GroupId, OwnedGame, Snapshot, SteamId,
+};
 use steam_net::backoff::{transient, Backoff};
 use steam_net::client::HttpClient;
 use steam_net::pool::ConnectionPool;
@@ -638,14 +640,11 @@ impl Crawler {
             .collect();
 
         // --- phase 2 ---------------------------------------------------------
-        // Per-user harvest, optionally on several worker threads. Workers
-        // claim the next unharvested account from a shared atomic cursor (no
-        // static chunking: a straggler can't strand the rest of its chunk),
-        // and results land in per-user slots merged in index order, so the
-        // reconstructed snapshot is identical for any worker count.
+        // Per-user harvest (see `harvest_users`): results land in per-user
+        // slots merged in index order, so the reconstructed snapshot is
+        // identical for any worker count.
         let harvest_timer = steam_obs::span("crawl", "harvest")
             .with_histogram(Arc::clone(&self.progress.phase_harvest));
-        let key = self.config.api_key.clone();
 
         let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
             .map(|u| replay.users.get(&u).cloned())
@@ -655,79 +654,21 @@ impl Crawler {
         let todo: Vec<u32> = (0..accounts.len() as u32)
             .filter(|&u| user_records[u as usize].is_none())
             .collect();
-
-        let cursor = AtomicUsize::new(0);
-        let run_worker = |fetcher: &mut Fetcher| -> Result<Vec<UserRecord>, NetError> {
-            let mut out = Vec::new();
-            loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&u) = todo.get(k) else { break };
-                let rec = fetcher.harvest_user(&key, u, accounts[u as usize].id)?;
-                // Journal only fully harvested users: all three fetches
-                // landed, so resume can skip this account entirely.
-                if let Some(j) = journal {
-                    j.lock().append(&Record::User(rec.clone()))?;
-                }
-                fetcher.progress.users_harvested.inc();
-                out.push(rec);
-            }
-            Ok(out)
-        };
-
-        let workers = self.config.workers.max(1).min(todo.len().max(1));
-        let results: Vec<Result<Vec<UserRecord>, NetError>> = if workers <= 1 {
-            vec![run_worker(&mut self.fetcher)]
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..workers {
-                    let mut fetcher = self.new_fetcher();
-                    let run = &run_worker;
-                    handles.push(scope.spawn(move || run(&mut fetcher)));
-                }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-        };
-        for result in results {
-            for rec in result? {
-                let slot = rec.index as usize;
-                user_records[slot] = Some(rec);
-            }
+        for rec in harvest_users(self, &accounts, &todo, journal)? {
+            let slot = rec.index as usize;
+            user_records[slot] = Some(rec);
         }
 
         // Merge in index order; replayed and freshly fetched users take the
-        // same path, including the friendship filter (each reciprocal edge
-        // is reported from both endpoints; keep it when reported by the
-        // lower-index side).
-        let mut friendships: Vec<Friendship> = Vec::new();
-        let mut ownerships = Vec::with_capacity(accounts.len());
-        let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
-        for rec in &user_records {
-            let rec = rec.as_ref().expect("every user harvested or replayed");
-            for &(fid, since) in &rec.friends {
-                if let Some(&v) = index_of.get(&fid) {
-                    if rec.index < v {
-                        friendships.push(Friendship::new(rec.index, v, since));
-                    }
-                }
-            }
-        }
-        for rec in user_records.into_iter().flatten() {
-            ownerships.push(rec.games);
-            raw_memberships.push(rec.groups);
-        }
-        let mut seen_groups: BTreeMap<GroupId, ()> = BTreeMap::new();
-        for gids in &raw_memberships {
-            for g in gids {
-                seen_groups.insert(*g, ());
-            }
-        }
+        // same path.
+        let MergedUsers { friendships, ownerships, raw_memberships, seen_groups } =
+            merge_users(user_records, &index_of);
 
-        // Group metadata via the community-page analog. BTreeMap gives the
-        // groups in ascending gid order, which becomes their dense index.
+        // Group metadata via the community-page analog. The BTreeSet gives
+        // the groups in ascending gid order, which becomes their dense index.
         let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
         let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-        for (gid, ()) in seen_groups {
+        for gid in seen_groups {
             let page = if let Some(g) = replay.groups.get(&gid) {
                 self.progress.resume_skipped.inc();
                 g.clone()
@@ -742,14 +683,7 @@ impl Crawler {
             group_index.insert(gid, groups.len() as u32);
             groups.push(page);
         }
-        let memberships: Vec<Vec<u32>> = raw_memberships
-            .into_iter()
-            .map(|gids| {
-                let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
-                m.sort_unstable();
-                m
-            })
-            .collect();
+        let memberships = dense_memberships(raw_memberships, &group_index);
 
         drop(harvest_timer);
 
@@ -783,7 +717,6 @@ impl Crawler {
         catalog.sort_by_key(|g| g.app_id);
         drop(catalog_timer);
 
-        friendships.sort_by_key(|e| (e.a, e.b));
         Ok(Snapshot {
             collected_at,
             scanned_id_space,
@@ -875,6 +808,108 @@ impl Crawler {
         }
         Ok((accounts, scanned))
     }
+}
+
+/// Phase-2 users merged in index order (see [`merge_users`]).
+struct MergedUsers {
+    /// Sorted; each reciprocal friendship is reported from both endpoints
+    /// and kept from the lower-index side.
+    friendships: Vec<Friendship>,
+    ownerships: Vec<Vec<OwnedGame>>,
+    raw_memberships: Vec<Vec<GroupId>>,
+    seen_groups: BTreeSet<GroupId>,
+}
+
+/// Merges harvested or replayed users, given in index order, into the
+/// snapshot's friendships, libraries and raw group lists.
+fn merge_users(
+    user_records: Vec<Option<UserRecord>>,
+    index_of: &HashMap<SteamId, u32>,
+) -> MergedUsers {
+    let mut friendships: Vec<Friendship> = Vec::new();
+    let mut ownerships = Vec::with_capacity(user_records.len());
+    let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(user_records.len());
+    let mut seen_groups = BTreeSet::new();
+    for rec in user_records {
+        let rec = rec.expect("every user harvested or replayed");
+        for &(fid, since) in &rec.friends {
+            if let Some(&v) = index_of.get(&fid) {
+                if rec.index < v {
+                    friendships.push(Friendship::new(rec.index, v, since));
+                }
+            }
+        }
+        seen_groups.extend(rec.groups.iter().copied());
+        ownerships.push(rec.games);
+        raw_memberships.push(rec.groups);
+    }
+    friendships.sort_by_key(|e| (e.a, e.b));
+    MergedUsers { friendships, ownerships, raw_memberships, seen_groups }
+}
+
+/// Each user's group ids as sorted dense group indices.
+fn dense_memberships(
+    raw_memberships: Vec<Vec<GroupId>>,
+    group_index: &HashMap<GroupId, u32>,
+) -> Vec<Vec<u32>> {
+    raw_memberships
+        .into_iter()
+        .map(|gids| {
+            let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
+            m.sort_unstable();
+            m
+        })
+        .collect()
+}
+
+/// Phase 2 for the accounts in `todo`: each one's friends, games and groups,
+/// on up to [`CrawlerConfig::workers`] workers that claim one user at a time
+/// through `steam_par::run_chunks_with`. Every worker has its own fetcher: a
+/// lone worker keeps the crawler's own, parallel workers each get a fresh
+/// one. A user is journaled before it counts as harvested, and records come
+/// back in `todo` order. Once any user fails no worker starts another, and
+/// the first error in `todo` order is returned.
+fn harvest_users(
+    crawler: &mut Crawler,
+    accounts: &[Account],
+    todo: &[u32],
+    journal: Option<&Mutex<CheckpointStore>>,
+) -> Result<Vec<UserRecord>, NetError> {
+    let workers = steam_par::workers(crawler.config.workers, todo.len(), 1);
+    let mut fresh: Vec<Fetcher> = Vec::new();
+    if workers > 1 {
+        fresh.extend((0..workers).map(|_| crawler.new_fetcher()));
+    }
+    let own = (workers == 1).then_some(&mut crawler.fetcher);
+    let mut fetchers = own.into_iter().chain(fresh.iter_mut());
+    let key = &crawler.config.api_key;
+    let failed = AtomicBool::new(false);
+    let harvested = steam_par::run_chunks_with(
+        workers,
+        todo.len(),
+        1,
+        || fetchers.next().expect("one fetcher per worker"),
+        |fetcher, k, _| {
+            if failed.load(Ordering::Relaxed) {
+                return None;
+            }
+            let u = todo[k];
+            let rec = fetcher.harvest_user(key, u, accounts[u as usize].id).and_then(|rec| {
+                // Journal only fully harvested users: all three fetches
+                // landed, so resume can skip this account entirely.
+                if let Some(j) = journal {
+                    j.lock().append(&Record::User(rec.clone()))?;
+                }
+                fetcher.progress.users_harvested.inc();
+                Ok(rec)
+            });
+            if rec.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            Some(rec)
+        },
+    );
+    harvested.into_iter().flatten().collect()
 }
 
 /// Crawls a sharded fleet into one merged snapshot, byte-identical to an
@@ -996,13 +1031,12 @@ fn crawl_sharded_phases(
         .map(|(i, a)| (a.id, i as u32))
         .collect();
 
-    // --- phase 2: per-shard harvest, all shards concurrent, each shard
-    // fanning out over its own worker threads and atomic cursor. Results
-    // land in per-user slots keyed by *global* index, so the merge below is
-    // the same code path as the unsharded crawl.
+    // --- phase 2: per-shard harvest, all shards concurrent, each through
+    // `harvest_users` on its own workers. Results land in per-user slots
+    // keyed by *global* index, so the merge below is the same code path as
+    // the unsharded crawl.
     let harvest_timer = steam_obs::span("crawl", "harvest")
         .with_histogram(Arc::clone(&progress.phase_harvest));
-    let key = crawlers[0].config.api_key.clone();
     let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
         .map(|u| replays.iter().find_map(|r| r.users.get(&u)).cloned())
         .collect();
@@ -1014,41 +1048,19 @@ fn crawl_sharded_phases(
             todo_per_shard[shard_of(accounts[u as usize].id, n)].push(u);
         }
     }
-    let cursors: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let worker_results: Vec<Result<Vec<UserRecord>, NetError>> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, crawler) in crawlers.iter().enumerate() {
-                let todo = &todo_per_shard[i];
-                let cursor = &cursors[i];
-                let journal = journals[i].as_ref();
-                let key = &key;
+    let harvested: Vec<Result<Vec<UserRecord>, NetError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = crawlers
+            .iter_mut()
+            .zip(journals)
+            .zip(&todo_per_shard)
+            .map(|((crawler, journal), todo)| {
                 let accounts = &accounts;
-                let workers = crawler.config.workers.max(1).min(todo.len().max(1));
-                for _ in 0..workers {
-                    let mut fetcher = crawler.new_fetcher();
-                    handles.push(scope.spawn(move || -> Result<Vec<UserRecord>, NetError> {
-                        let mut out = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&u) = todo.get(k) else { break };
-                            let rec = fetcher.harvest_user(key, u, accounts[u as usize].id)?;
-                            if let Some(j) = journal {
-                                j.lock().append(&Record::User(rec.clone()))?;
-                            }
-                            fetcher.progress.users_harvested.inc();
-                            out.push(rec);
-                        }
-                        Ok(out)
-                    }));
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("harvest worker panicked"))
-                .collect()
-        });
-    for result in worker_results {
+                scope.spawn(move || harvest_users(crawler, accounts, todo, journal.as_ref()))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("harvest thread panicked")).collect()
+    });
+    for result in harvested {
         for rec in result? {
             let slot = rec.index as usize;
             user_records[slot] = Some(rec);
@@ -1057,35 +1069,14 @@ fn crawl_sharded_phases(
 
     // Merge in global index order — the same sequence (and so the same
     // bytes) as Crawler::crawl_phases.
-    let mut friendships: Vec<Friendship> = Vec::new();
-    let mut ownerships = Vec::with_capacity(accounts.len());
-    let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(accounts.len());
-    for rec in &user_records {
-        let rec = rec.as_ref().expect("every user harvested or replayed");
-        for &(fid, since) in &rec.friends {
-            if let Some(&v) = index_of.get(&fid) {
-                if rec.index < v {
-                    friendships.push(Friendship::new(rec.index, v, since));
-                }
-            }
-        }
-    }
-    for rec in user_records.into_iter().flatten() {
-        ownerships.push(rec.games);
-        raw_memberships.push(rec.groups);
-    }
-    let mut seen_groups: BTreeMap<GroupId, ()> = BTreeMap::new();
-    for gids in &raw_memberships {
-        for g in gids {
-            seen_groups.insert(*g, ());
-        }
-    }
+    let MergedUsers { friendships, ownerships, raw_memberships, seen_groups } =
+        merge_users(user_records, &index_of);
 
     // Group metadata, ascending gid (the dense index order), each page from
     // the shard that owns the gid.
     let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
     let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-    for (gid, ()) in seen_groups {
+    for gid in seen_groups {
         let page = if let Some(g) = replays.iter().find_map(|r| r.groups.get(&gid)) {
             progress.resume_skipped.inc();
             g.clone()
@@ -1101,14 +1092,7 @@ fn crawl_sharded_phases(
         group_index.insert(gid, groups.len() as u32);
         groups.push(page);
     }
-    let memberships: Vec<Vec<u32>> = raw_memberships
-        .into_iter()
-        .map(|gids| {
-            let mut m: Vec<u32> = gids.iter().map(|g| group_index[g]).collect();
-            m.sort_unstable();
-            m
-        })
-        .collect();
+    let memberships = dense_memberships(raw_memberships, &group_index);
 
     drop(harvest_timer);
 
@@ -1146,7 +1130,6 @@ fn crawl_sharded_phases(
     catalog.sort_by_key(|g| g.app_id);
     drop(catalog_timer);
 
-    friendships.sort_by_key(|e| (e.a, e.b));
     Ok(Snapshot {
         collected_at,
         scanned_id_space,

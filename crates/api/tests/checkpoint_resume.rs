@@ -11,9 +11,12 @@
 
 use std::sync::Arc;
 
-use steam_api::{serve_service_faulty, ApiService, Crawler, CrawlerConfig, RateLimit};
+use steam_api::{
+    crawl_sharded, serve_service_faulty, serve_shard_config, split_snapshot, ApiService,
+    CheckpointStore, Crawler, CrawlerConfig, RateLimit, ShardService,
+};
 use steam_model::{codec, Snapshot};
-use steam_net::{Backoff, FaultInjector, FaultPlan};
+use steam_net::{Backoff, FaultInjector, FaultPlan, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
 
 fn tiny_snapshot(seed: u64) -> Arc<Snapshot> {
@@ -189,5 +192,77 @@ fn checkpointed_crawl_without_kill_matches_plain_crawl() {
     assert_eq!(stats.apps_fetched, 0);
     assert_eq!(stats.census_batches, 0);
     assert!(stats.resume_skipped > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every friend-list request fails: the harvest's first user fails on every
+/// worker. An injector counting exactly those requests.
+fn friend_list_outage() -> Arc<FaultInjector> {
+    let plan = FaultPlan::parse("/ISteamUser/GetFriendList:500=1.0", 9).unwrap();
+    Arc::new(FaultInjector::new(plan, Some(&steam_obs::Registry::new())))
+}
+
+/// The failed crawl's journal was flushed: a resume replays the whole census.
+fn assert_census_journaled(dir: &std::path::Path) {
+    let (_store, replay) = CheckpointStore::resume(dir).unwrap();
+    assert!(replay.census_complete.is_some(), "census not flushed to {}", dir.display());
+    assert!(!replay.census_batches.is_empty());
+    assert!(replay.users.is_empty(), "no user can have been harvested");
+}
+
+#[test]
+fn failing_harvest_stops_claiming_users() {
+    let original = tiny_snapshot(504);
+    for workers in [1, 4] {
+        let injector = friend_list_outage();
+        let (server, _service) = serve_service_faulty(
+            ApiService::new(Arc::clone(&original), RateLimit::default()),
+            "127.0.0.1:0",
+            2,
+            None,
+            Some(Arc::clone(&injector)),
+        )
+        .unwrap();
+        let dir = checkpoint_dir(&format!("stop-{workers}"));
+        let mut crawler = Crawler::new(server.addr(), kill_prone_config(&dir, false, workers));
+        assert!(crawler.crawl(original.collected_at).is_err(), "workers={workers}");
+        // Each worker may have one friend-list request in flight when the
+        // first failure lands; none may start another user after it.
+        let seen = injector.injected_total();
+        assert!((1..=workers as u64).contains(&seen), "workers={workers}: {seen} requests");
+        assert_eq!(crawler.stats().users_harvested, 0);
+        assert_census_journaled(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn failing_fleet_harvest_stops_claiming_users() {
+    const SHARDS: usize = 2;
+    const WORKERS: usize = 2;
+    let original = tiny_snapshot(505);
+    let injector = friend_list_outage();
+    let mut servers = Vec::new();
+    let mut addrs = Vec::new();
+    for store in split_snapshot(&original, SHARDS) {
+        let (server, _s) = serve_shard_config(
+            ShardService::new(store, RateLimit::default()),
+            "127.0.0.1:0",
+            ServerConfig { workers: 2, ..Default::default() },
+            None,
+            Some(Arc::clone(&injector)),
+        )
+        .unwrap();
+        addrs.push(server.addr());
+        servers.push(server);
+    }
+    let dir = checkpoint_dir("stop-fleet");
+    let config = kill_prone_config(&dir, false, WORKERS);
+    assert!(crawl_sharded(&addrs, &config, original.collected_at).is_err());
+    let seen = injector.injected_total();
+    assert!((1..=(SHARDS * WORKERS) as u64).contains(&seen), "{seen} requests");
+    for i in 0..SHARDS {
+        assert_census_journaled(&dir.join(format!("shard-{i}-of-{SHARDS}")));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,6 @@
 //! §3.3 / Appendix / Table 4 — heavy-tail classification of every major
 //! distribution.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use steam_stats::tailfit::{
     classify_tail_jobs, fit_discrete_power_law, ClassifyOptions, TailReport,
 };
@@ -72,12 +69,12 @@ pub fn classify_all(
 /// [`classify_all`] with the Table 4 rows fanned out over `jobs` workers.
 ///
 /// Rows differ in cost by an order of magnitude (the yearly friendship
-/// sub-samples are tiny; account market values are not), so workers pull the
-/// next row index from a shared cursor instead of being dealt fixed chunks.
-/// Each row also passes `jobs` down to the tail-fit kernels, which keeps the
-/// cores busy when one expensive row is left. Results land in per-row slots
-/// and are read back in row order, and every kernel is thread-count
-/// deterministic, so the output is identical for any `jobs` value.
+/// sub-samples are tiny; account market values are not), so each row is its
+/// own chunk of `steam_par::run_chunks` and workers claim the next row as
+/// they free up. Each row also passes `jobs` down to the tail-fit kernels,
+/// which keeps the cores busy when one expensive row is left. Rows come back
+/// in row order, and every kernel is thread-count deterministic, so the
+/// output is identical for any `jobs` value.
 pub fn classify_all_jobs(
     ctx: &Ctx,
     second: Option<&Ctx>,
@@ -86,41 +83,10 @@ pub fn classify_all_jobs(
 ) -> Vec<ClassifiedRow> {
     let attrs = table4_attributes(ctx);
     let second_attrs = second.map(second_snapshot_attributes);
-
-    if jobs <= 1 {
-        return attrs
-            .into_iter()
-            .map(|(attribute, data)| {
-                classify_row(attribute, &data, second_attrs.as_ref(), opts, 1)
-            })
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ClassifiedRow>>> =
-        attrs.iter().map(|_| Mutex::new(None)).collect();
-    let attrs = &attrs;
-    let second_attrs = second_attrs.as_ref();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs.min(attrs.len()) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= attrs.len() {
-                    break;
-                }
-                let (attribute, data) = &attrs[i];
-                let row = classify_row(attribute.clone(), data, second_attrs, opts, jobs);
-                *slots[i].lock().expect("row slot poisoned") = Some(row);
-            });
-        }
+    steam_par::run_chunks(jobs, attrs.len(), 1, |i, _| {
+        let (attribute, data) = &attrs[i];
+        classify_row(attribute.clone(), data, second_attrs.as_ref(), opts, jobs.max(1))
     })
-    .expect("classification worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("row slot poisoned").expect("every row index was claimed")
-        })
-        .collect()
 }
 
 /// Builds one Table 4 row: first-snapshot fit, discrete cross-check, and

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use steam_graph::{degrees_by_year_with, Csr, YearDegrees};
+use steam_graph::{degrees_by_year_with, Csr, SliceChunks, YearDegrees};
 use steam_model::{
     AppId, CountryCode, Friendship, ModelError, SimTime, Snapshot, SnapshotReader,
 };
@@ -79,15 +79,12 @@ impl<'a> Ctx<'a> {
         }
         let price_cents: Vec<u32> = catalog.iter().map(|g| g.price_cents).collect();
 
+        // Both backings build through the same chunked two-pass CSR; the
+        // in-memory edges are cut on the v3 writer's friendship grid.
         let graph = match &world {
             WorldView::Mem(s) => {
-                if jobs > 1 {
-                    let edges: Vec<(u32, u32)> =
-                        s.friendships.iter().map(|e| (e.a, e.b)).collect();
-                    Csr::from_edge_list(n, &edges, jobs)
-                } else {
-                    Csr::from_edges(n, s.friendships.iter().map(|e| (e.a, e.b)))
-                }
+                let edges = SliceChunks { edges: &s.friendships, cap: 16 * 1024 };
+                Csr::from_edge_chunks(n, &edges, jobs)
             }
             WorldView::Stream(v) => Csr::from_edge_chunks(n, &FriendshipChunks(v.reader), jobs),
         };

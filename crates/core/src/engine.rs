@@ -4,8 +4,9 @@
 //! view, so the full report is an embarrassingly parallel job list — except
 //! that experiment costs span four orders of magnitude (Table 4 runs the
 //! whole heavy-tail fitting pipeline; Figure 10 is three divisions). Static
-//! chunking would leave most workers idle behind Table 4, so workers pull
-//! the next experiment index from a shared atomic cursor, and the expensive
+//! chunking would leave most workers idle behind Table 4, so each experiment
+//! is its own chunk of the workspace's chunk runner (`steam_par`), whose
+//! workers claim the next one as they free up, and the expensive
 //! kernels additionally fan out internally (see
 //! [`render_with_jobs`](crate::report::render_with_jobs)).
 //!
@@ -13,9 +14,8 @@
 //!
 //! The parallel report renders **byte-identical** text for any `jobs` value:
 //!
-//! * results land in per-experiment slots that are concatenated in
-//!   `Experiment::ALL` order after the scope joins — scheduling order never
-//!   reaches the output;
+//! * the chunk runner returns results in `Experiment::ALL` order —
+//!   scheduling order never reaches the output;
 //! * every parallel kernel underneath reduces per-chunk results in index
 //!   order with the serial rule (x_min scan), merges exact integer-valued
 //!   f64 sums (assortativity), sorts away fill races (CSR rows), or derives
@@ -24,8 +24,6 @@
 //!
 //! [`Ctx`]: crate::context::Ctx
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::report::{render_with_jobs, Experiment, ReportInput};
@@ -112,8 +110,9 @@ impl ReportTimings {
     }
 }
 
-/// Renders `experiments` concurrently on `jobs` workers, returning each
-/// experiment's text in input order. `jobs <= 1` renders inline.
+/// Renders `experiments` concurrently on `jobs` workers, one experiment per
+/// chunk of `steam_par::run_chunks`, returning each experiment's text in
+/// input order. `jobs <= 1` renders inline.
 pub fn render_experiments(
     input: &ReportInput,
     experiments: &[Experiment],
@@ -132,46 +131,14 @@ pub fn render_experiments_timed(
 ) -> (Vec<(Experiment, String)>, ReportTimings) {
     let jobs = jobs.max(1);
     let run_start = Instant::now();
-    if jobs == 1 || experiments.len() <= 1 {
-        let mut rendered = Vec::with_capacity(experiments.len());
-        let mut per_experiment = Vec::with_capacity(experiments.len());
-        for &e in experiments {
-            let _span = steam_obs::span("report", e.name());
-            let start = Instant::now();
-            rendered.push((e, render_with_jobs(input, e, jobs)));
-            per_experiment.push(ExperimentTiming { experiment: e, wall: start.elapsed() });
-        }
-        let timings =
-            ReportTimings { jobs, wall: run_start.elapsed(), per_experiment, setup: Vec::new() };
-        return (rendered, timings);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(String, Duration)>>> =
-        experiments.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs.min(experiments.len()) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= experiments.len() {
-                    break;
-                }
-                let _span = steam_obs::span("report", experiments[i].name());
-                let start = Instant::now();
-                let text = render_with_jobs(input, experiments[i], jobs);
-                *slots[i].lock().expect("slot poisoned") = Some((text, start.elapsed()));
-            });
-        }
-    })
-    .expect("report worker panicked");
-    let mut rendered = Vec::with_capacity(experiments.len());
-    let mut per_experiment = Vec::with_capacity(experiments.len());
-    for (&e, slot) in experiments.iter().zip(slots) {
-        let (text, wall) =
-            slot.into_inner().expect("slot poisoned").expect("every index was claimed");
-        rendered.push((e, text));
-        per_experiment.push(ExperimentTiming { experiment: e, wall });
-    }
+    let done = steam_par::run_chunks(jobs, experiments.len(), 1, |i, _| {
+        let e = experiments[i];
+        let _span = steam_obs::span("report", e.name());
+        let start = Instant::now();
+        let text = render_with_jobs(input, e, jobs);
+        ((e, text), ExperimentTiming { experiment: e, wall: start.elapsed() })
+    });
+    let (rendered, per_experiment) = done.into_iter().unzip();
     let timings =
         ReportTimings { jobs, wall: run_start.elapsed(), per_experiment, setup: Vec::new() };
     (rendered, timings)

@@ -3,9 +3,9 @@
 //! The paper's graph has 108.7 M nodes and 196.4 M undirected edges; CSR
 //! keeps neighbor iteration cache-friendly with two flat arrays.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::par;
+use steam_model::Friendship;
 
 /// A source of undirected edges grouped into independently readable chunks —
 /// the shape in which the streaming snapshot reader exposes the friendships
@@ -18,27 +18,25 @@ pub trait EdgeChunks: Sync {
     fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32));
 }
 
-/// Runs `f(0..n)` on up to `jobs` scoped workers claiming indices through an
-/// atomic cursor.
-fn claim_chunks(jobs: usize, n: usize, f: impl Fn(usize) + Sync) {
-    if jobs <= 1 || n <= 1 {
-        for k in 0..n {
-            f(k);
-        }
-        return;
+/// [`EdgeChunks`] over an in-memory friendship slice cut into `cap`-edge
+/// chunks: how a fully decoded snapshot feeds [`Csr::from_edge_chunks`].
+pub struct SliceChunks<'a> {
+    pub edges: &'a [Friendship],
+    pub cap: usize,
+}
+
+impl EdgeChunks for SliceChunks<'_> {
+    fn n_chunks(&self) -> usize {
+        self.edges.len().div_ceil(self.cap)
     }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                f(k);
-            });
+
+    fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32)) {
+        let lo = k * self.cap;
+        let hi = (lo + self.cap).min(self.edges.len());
+        for e in &self.edges[lo..hi] {
+            f(e.a, e.b);
         }
-    });
+    }
 }
 
 /// An undirected graph in CSR form. Each undirected edge appears in both
@@ -85,83 +83,29 @@ impl Csr {
         Csr { offsets, neighbors, n_edges }
     }
 
-    /// [`Csr::from_edges`] over an edge slice, with both construction passes
-    /// (degree counting and adjacency fill) plus the per-row sort chunked
-    /// over `jobs` scoped threads.
-    ///
-    /// The result is identical to the serial build for any `jobs`: per-chunk
-    /// degree counts merge by integer summation, fill order within a row is
-    /// arbitrary but the canonical ascending sort erases it, and offsets are
-    /// a prefix sum of the merged counts either way.
-    pub fn from_edge_list(n_nodes: usize, edges: &[(u32, u32)], jobs: usize) -> Self {
-        // Below a few thousand edges the scoped-thread setup dwarfs the work.
-        if jobs <= 1 || edges.len() < 4096 {
-            return Self::from_edges(n_nodes, edges.iter().copied());
-        }
-
-        // Pass 1: per-chunk degree counts.
-        let chunk_counts = par::map_chunks(edges.len(), jobs, |range| {
-            let mut deg = vec![0u64; n_nodes];
-            for &(a, b) in &edges[range] {
-                assert!((a as usize) < n_nodes && (b as usize) < n_nodes, "edge out of range");
-                deg[a as usize] += 1;
-                deg[b as usize] += 1;
-            }
-            deg
-        });
-        let mut offsets = Vec::with_capacity(n_nodes + 1);
-        offsets.push(0u64);
-        let mut acc = 0u64;
-        for u in 0..n_nodes {
-            acc += chunk_counts.iter().map(|c| c[u]).sum::<u64>();
-            offsets.push(acc);
-        }
-
-        // Pass 2: fill through per-node atomic cursors. Slot assignment
-        // within a row races, but the sort below restores canonical order.
-        let cursors: Vec<AtomicU64> =
-            offsets[..n_nodes].iter().map(|&o| AtomicU64::new(o)).collect();
-        let slots: Vec<AtomicU32> = (0..acc as usize).map(|_| AtomicU32::new(0)).collect();
-        par::map_chunks(edges.len(), jobs, |range| {
-            for &(a, b) in &edges[range] {
-                let ia = cursors[a as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                slots[ia].store(b, Ordering::Relaxed);
-                let ib = cursors[b as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                slots[ib].store(a, Ordering::Relaxed);
-            }
-        });
-        let mut neighbors: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
-
-        // Pass 3: sort each adjacency list.
-        sort_rows(&offsets, &mut neighbors, n_nodes, jobs);
-
-        Csr { offsets, neighbors, n_edges: edges.len() }
-    }
-
     /// Builds CSR from chunked edges in two passes — shared atomic degree
-    /// counting, then fill through per-node atomic cursors — with chunks
-    /// claimed by an atomic cursor on up to `jobs` threads. Reads the source
-    /// twice and never materializes the full edge list, so resident memory is
-    /// the CSR itself plus `O(n_nodes)` counters, independent of how the
-    /// chunks are stored. The result is identical to [`Csr::from_edges`]
-    /// over the same edges, for any `jobs`: degree sums are order-independent,
-    /// and the canonical per-row sort erases fill-order races.
+    /// counting, then fill through per-node atomic cursors — with each edge
+    /// chunk one chunk of `steam_par::run_chunks` on up to `jobs` threads.
+    /// Reads the source twice and never materializes the full edge list, so
+    /// resident memory is the CSR itself plus `O(n_nodes)` counters,
+    /// independent of how the chunks are stored. The result is identical to
+    /// [`Csr::from_edges`] over the same edges, for any `jobs`: degree sums
+    /// are order-independent, and the canonical per-row sort erases
+    /// fill-order races.
     pub fn from_edge_chunks(n_nodes: usize, src: &dyn EdgeChunks, jobs: usize) -> Self {
-        let jobs = jobs.max(1);
         let n_chunks = src.n_chunks();
 
         // Pass 1: degree counts (u32: degrees are capped far below 2^32).
         let deg: Vec<AtomicU32> = (0..n_nodes).map(|_| AtomicU32::new(0)).collect();
-        let edge_count = AtomicU64::new(0);
-        claim_chunks(jobs, n_chunks, |k| {
-            let mut in_chunk = 0u64;
+        let chunk_edges = steam_par::run_chunks(jobs, n_chunks, 1, |k, _| {
+            let mut in_chunk = 0usize;
             src.for_each(k, &mut |a, b| {
                 assert!((a as usize) < n_nodes && (b as usize) < n_nodes, "edge out of range");
                 deg[a as usize].fetch_add(1, Ordering::Relaxed);
                 deg[b as usize].fetch_add(1, Ordering::Relaxed);
                 in_chunk += 1;
             });
-            edge_count.fetch_add(in_chunk, Ordering::Relaxed);
+            in_chunk
         });
         let mut offsets = Vec::with_capacity(n_nodes + 1);
         offsets.push(0u64);
@@ -178,7 +122,7 @@ impl Csr {
         let cursors: Vec<AtomicU64> =
             offsets[..n_nodes].iter().map(|&o| AtomicU64::new(o)).collect();
         let slots: Vec<AtomicU32> = (0..acc as usize).map(|_| AtomicU32::new(0)).collect();
-        claim_chunks(jobs, n_chunks, |k| {
+        steam_par::run_chunks(jobs, n_chunks, 1, |k, _| {
             src.for_each(k, &mut |a, b| {
                 let ia = cursors[a as usize].fetch_add(1, Ordering::Relaxed) as usize;
                 slots[ia].store(b, Ordering::Relaxed);
@@ -190,8 +134,7 @@ impl Csr {
 
         sort_rows(&offsets, &mut neighbors, n_nodes, jobs);
 
-        let n_edges = edge_count.into_inner() as usize;
-        Csr { offsets, neighbors, n_edges }
+        Csr { offsets, neighbors, n_edges: chunk_edges.iter().sum() }
     }
 
     pub fn n_nodes(&self) -> usize {
@@ -236,7 +179,9 @@ impl Csr {
 }
 
 /// Sorts every adjacency row ascending, threads owning disjoint contiguous
-/// node ranges (rows are contiguous in node order).
+/// node ranges (rows are contiguous in node order). Each thread gets its own
+/// `&mut` slice of `neighbors`, which a chunk runner sharing `&` state can't
+/// hand out without `unsafe` or a copy, so this split stays here.
 fn sort_rows(offsets: &[u64], neighbors: &mut [u32], n_nodes: usize, jobs: usize) {
     if jobs <= 1 {
         for u in 0..n_nodes {
@@ -331,59 +276,46 @@ mod tests {
         Csr::from_edges(2, [(0, 5)].into_iter());
     }
 
+    fn random_edges(n_nodes: u32, n_edges: usize, seed: u64) -> Vec<Friendship> {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n_edges)
+            .map(|_| {
+                let (a, b) = (rng.gen_range(0..n_nodes), rng.gen_range(0..n_nodes));
+                Friendship::new(a, b, steam_model::SimTime::from_unix(0))
+            })
+            .collect()
+    }
+
+    fn assert_same(chunked: &Csr, serial: &Csr, what: &str) {
+        assert_eq!(chunked.offsets, serial.offsets, "{what}");
+        assert_eq!(chunked.neighbors, serial.neighbors, "{what}");
+        assert_eq!(chunked.n_edges(), serial.n_edges(), "{what}");
+    }
+
     #[test]
     fn parallel_build_matches_serial() {
-        use rand::prelude::*;
+        // Several chunks of the 16Ki-edge grid the in-memory context uses.
         let n_nodes = 2_000u32;
-        let mut rng = StdRng::seed_from_u64(42);
-        // Well above the small-input cutoff so the threaded path runs.
-        let edges: Vec<(u32, u32)> = (0..10_000)
-            .map(|_| (rng.gen_range(0..n_nodes), rng.gen_range(0..n_nodes)))
-            .collect();
-        let serial = Csr::from_edges(n_nodes as usize, edges.iter().copied());
+        let edges = random_edges(n_nodes, 40_000, 42);
+        let serial = Csr::from_edges(n_nodes as usize, edges.iter().map(|e| (e.a, e.b)));
         for jobs in [1, 2, 3, 8] {
-            let par = Csr::from_edge_list(n_nodes as usize, &edges, jobs);
-            assert_eq!(par.offsets, serial.offsets, "jobs={jobs}");
-            assert_eq!(par.neighbors, serial.neighbors, "jobs={jobs}");
-            assert_eq!(par.n_edges(), serial.n_edges(), "jobs={jobs}");
-        }
-    }
-
-    struct SliceChunks<'a> {
-        edges: &'a [(u32, u32)],
-        cap: usize,
-    }
-
-    impl EdgeChunks for SliceChunks<'_> {
-        fn n_chunks(&self) -> usize {
-            self.edges.len().div_ceil(self.cap)
-        }
-
-        fn for_each(&self, k: usize, f: &mut dyn FnMut(u32, u32)) {
-            let lo = k * self.cap;
-            let hi = (lo + self.cap).min(self.edges.len());
-            for &(a, b) in &self.edges[lo..hi] {
-                f(a, b);
-            }
+            let src = SliceChunks { edges: &edges, cap: 16 * 1024 };
+            let par = Csr::from_edge_chunks(n_nodes as usize, &src, jobs);
+            assert_same(&par, &serial, &format!("jobs={jobs}"));
         }
     }
 
     #[test]
     fn chunked_build_matches_serial() {
-        use rand::prelude::*;
         let n_nodes = 500u32;
-        let mut rng = StdRng::seed_from_u64(7);
-        let edges: Vec<(u32, u32)> = (0..3_000)
-            .map(|_| (rng.gen_range(0..n_nodes), rng.gen_range(0..n_nodes)))
-            .collect();
-        let serial = Csr::from_edges(n_nodes as usize, edges.iter().copied());
+        let edges = random_edges(n_nodes, 3_000, 7);
+        let serial = Csr::from_edges(n_nodes as usize, edges.iter().map(|e| (e.a, e.b)));
         for cap in [1, 17, 4096] {
             for jobs in [1, 2, 8] {
                 let src = SliceChunks { edges: &edges, cap };
                 let chunked = Csr::from_edge_chunks(n_nodes as usize, &src, jobs);
-                assert_eq!(chunked.offsets, serial.offsets, "cap={cap} jobs={jobs}");
-                assert_eq!(chunked.neighbors, serial.neighbors, "cap={cap} jobs={jobs}");
-                assert_eq!(chunked.n_edges(), serial.n_edges(), "cap={cap} jobs={jobs}");
+                assert_same(&chunked, &serial, &format!("cap={cap} jobs={jobs}"));
             }
         }
     }
@@ -394,14 +326,5 @@ mod tests {
         let g = Csr::from_edge_chunks(3, &src, 4);
         assert_eq!(g.n_nodes(), 3);
         assert_eq!(g.n_edges(), 0);
-    }
-
-    #[test]
-    fn small_edge_lists_take_the_serial_path() {
-        let edges = [(0u32, 1u32), (1, 2), (2, 3)];
-        let a = Csr::from_edge_list(4, &edges, 8);
-        let b = Csr::from_edges(4, edges.iter().copied());
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.neighbors, b.neighbors);
     }
 }

@@ -20,12 +20,11 @@ pub mod components;
 pub mod csr;
 pub mod evolution;
 pub mod neighbors;
-pub mod par;
 pub mod sampling;
 pub mod smallworld;
 
 pub use components::{connected_components, Components};
-pub use csr::{Csr, EdgeChunks};
+pub use csr::{Csr, EdgeChunks, SliceChunks};
 pub use evolution::{
     degrees_by_year_with, degrees_in_years, degrees_in_years_with, yearly_evolution,
     yearly_evolution_with, YearDegrees, YearPoint,

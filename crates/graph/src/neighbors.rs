@@ -2,7 +2,6 @@
 //! paper's homophily findings (§7, Figure 11).
 
 use crate::csr::Csr;
-use crate::par;
 
 /// For every node with at least one neighbor, the mean of `attr` over its
 /// neighbors; isolated nodes get `None`.
@@ -18,7 +17,8 @@ pub fn neighbor_mean(g: &Csr, attr: &[f64]) -> Vec<Option<f64>> {
 /// chunks concatenate in node order, so output is identical for any `jobs`.
 pub fn neighbor_mean_jobs(g: &Csr, attr: &[f64], jobs: usize) -> Vec<Option<f64>> {
     assert_eq!(attr.len(), g.n_nodes(), "attribute vector must be parallel");
-    par::map_chunks(g.n_nodes(), jobs, |range| {
+    let per = steam_par::per_job(g.n_nodes(), jobs);
+    steam_par::run_chunks(jobs, g.n_nodes(), per, |_, range| {
         range
             .map(|u| {
                 let ns = g.neighbors(u as u32);
@@ -61,7 +61,8 @@ pub fn degree_assortativity(g: &Csr) -> Option<f64> {
 /// any graph this workspace handles); exact sums are associative, so the
 /// chunked merge reproduces the serial result bit-for-bit.
 pub fn degree_assortativity_jobs(g: &Csr, jobs: usize) -> Option<f64> {
-    let partials = par::map_chunks(g.n_nodes(), jobs, |range| {
+    let per = steam_par::per_job(g.n_nodes(), jobs);
+    let partials = steam_par::run_chunks(jobs, g.n_nodes(), per, |_, range| {
         let mut n = 0u64;
         let mut s = [0.0f64; 5]; // sx, sy, sxx, syy, sxy
         for u in range {

@@ -45,8 +45,7 @@
 //! (single stream) and version 2 (six sections) containers are rejected
 //! with an error that says to regenerate them.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -560,42 +559,6 @@ pub fn decode_snapshot_jobs(buf: Bytes, jobs: usize) -> Result<Snapshot, ModelEr
     SnapshotReader::from_bytes(buf)?.materialize(jobs)
 }
 
-/// Runs `f(0..n)` on up to `jobs` scoped workers, returning results in
-/// index order. The codec's local copy of the synth crate's chunk runner
-/// (the dependency points the other way).
-pub(crate) fn map_parallel<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    })
-    .expect("codec worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every index claimed exactly once")
-        })
-        .collect()
-}
-
 /// Version byte of the chunked columnar snapshot container, the only one.
 pub const VERSION_CHUNKED: u8 = 3;
 
@@ -828,7 +791,7 @@ fn stream_v3(
         })
         .collect();
     for window in specs.chunks(jobs.max(1) * 4) {
-        let encoded = map_parallel(jobs, window.len(), |j| {
+        let encoded = steam_par::run_chunks(jobs, window.len(), 1, |j, _| {
             let (id, start, stop) = window[j];
             let payload = encode_v3_chunk_payload(s, id, start, stop);
             let sum = checksum32(&payload);

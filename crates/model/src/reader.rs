@@ -434,7 +434,7 @@ enum Section {
 ///
 /// `Sync`: chunk reads are positional and share no mutable state beyond
 /// relaxed counters, so worker threads can claim and decode chunks
-/// concurrently (the atomic-cursor pattern the rest of the codebase uses).
+/// concurrently (as the workers of `steam_par::run_chunks` do).
 pub struct SnapshotReader {
     backing: Backing,
     file_len: u64,
@@ -744,7 +744,7 @@ impl SnapshotReader {
             .iter()
             .flat_map(|d| (0..d.chunks.len()).map(move |k| (d.id, k)))
             .collect();
-        let decoded = codec::map_parallel(jobs, chunks.len(), |i| {
+        let decoded = steam_par::run_chunks(jobs, chunks.len(), 1, |i, _| {
             self.section_chunk(chunks[i].0, chunks[i].1)
         });
         let records = |id: u8| self.dir(id).total_records as usize;
@@ -1082,29 +1082,16 @@ mod tests {
 
     #[test]
     fn concurrent_chunk_claims_see_consistent_data() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let s = synthetic_snapshot(200);
         let path = temp_path("par.v3");
         write_snapshot_v3(&path, &s, 2).unwrap();
         let r = SnapshotReader::open(&path).unwrap();
-        let n = r.n_account_chunks();
-        let cursor = AtomicUsize::new(0);
-        let counted = std::sync::Mutex::new(0usize);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let chunk = r.account_chunk(k).unwrap();
-                    assert_eq!(chunk[0], s.accounts[r.account_chunk_start(k)]);
-                    *counted.lock().unwrap() += chunk.len();
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(*counted.lock().unwrap(), s.n_users());
+        let lens = steam_par::run_chunks(4, r.n_account_chunks(), 1, |k, _| {
+            let chunk = r.account_chunk(k).unwrap();
+            assert_eq!(chunk[0], s.accounts[r.account_chunk_start(k)]);
+            chunk.len()
+        });
+        assert_eq!(lens.iter().sum::<usize>(), s.n_users());
         std::fs::remove_file(&path).ok();
     }
 }

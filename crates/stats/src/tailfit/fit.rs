@@ -181,7 +181,8 @@ pub fn scan_xmin_jobs(
         return None;
     }
 
-    let per_chunk = crate::par::map_chunks(candidates.len(), jobs, |range| {
+    let per = steam_par::per_job(candidates.len(), jobs);
+    let per_chunk = steam_par::run_chunks(jobs, candidates.len(), per, |_, range| {
         candidates[range]
             .iter()
             .map(|&xmin| eval_candidate(data, xmin, min_tail))

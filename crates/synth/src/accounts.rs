@@ -4,9 +4,10 @@
 
 use rand::Rng;
 use steam_model::{Account, CountryCode, SimTime, SteamId, Visibility};
+use steam_par::run_chunks;
 
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, USERS_CHUNK};
+use crate::par::USERS_CHUNK;
 use crate::samplers::{categorical, chance, normal};
 use crate::seed::stage_rng;
 

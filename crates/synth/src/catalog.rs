@@ -12,9 +12,10 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use steam_model::{Achievement, AppId, AppType, Game, Genre, GenreSet, SimTime};
+use steam_par::run_chunks;
 
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, GAMES_CHUNK, PRODUCTS_CHUNK};
+use crate::par::{GAMES_CHUNK, PRODUCTS_CHUNK};
 use crate::samplers::{chance, lognormal, normal, pareto};
 use crate::seed::stage_rng;
 

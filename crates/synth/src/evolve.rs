@@ -16,11 +16,12 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use steam_model::{Game, OwnedGame, Snapshot};
+use steam_par::run_chunks;
 
 use crate::accounts::{Archetype, Latents};
 use crate::catalog::CatalogModel;
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, USERS_CHUNK};
+use crate::par::USERS_CHUNK;
 use crate::samplers::{chance, truncated_power_law_bounded, AliasTable};
 use crate::seed::stage_rng;
 

@@ -22,10 +22,11 @@ use std::collections::HashSet;
 
 use rand::Rng;
 use steam_model::{Friendship, SimTime};
+use steam_par::run_chunks;
 
 use crate::accounts::Population;
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, EDGES_CHUNK, USERS_CHUNK};
+use crate::par::{EDGES_CHUNK, USERS_CHUNK};
 use crate::samplers::{chance, pareto};
 use crate::seed::stage_rng;
 

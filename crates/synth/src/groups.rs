@@ -16,10 +16,11 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use steam_model::{Group, GroupId, GroupKind, OwnedGame};
+use steam_par::run_chunks;
 
 use crate::catalog::CatalogModel;
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, USERS_CHUNK};
+use crate::par::USERS_CHUNK;
 use crate::samplers::{categorical, chance, lognormal, zipf_weights, AliasTable};
 use crate::seed::stage_rng;
 

@@ -21,11 +21,12 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use steam_model::{Genre, OwnedGame, MAX_TWO_WEEK_MINUTES};
+use steam_par::run_chunks;
 
 use crate::accounts::{Archetype, Population};
 use crate::catalog::CatalogModel;
 use crate::config::SynthConfig;
-use crate::par::{run_chunks, USERS_CHUNK};
+use crate::par::USERS_CHUNK;
 use crate::samplers::{chance, lognormal, pareto, sigmoid, truncated_power_law_bounded, AliasTable};
 use crate::seed::stage_rng;
 

@@ -13,8 +13,9 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use steam_model::{Snapshot, WeekPanel};
+use steam_par::run_chunks;
 
-use crate::par::{run_chunks, PANEL_CHUNK};
+use crate::par::PANEL_CHUNK;
 use crate::samplers::{chance, lognormal};
 use crate::seed::stage_rng;
 
