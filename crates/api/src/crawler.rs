@@ -12,6 +12,17 @@
 //! * **Phase 3 — catalog.** The unpublicized app-list endpoint, then
 //!   `appdetails` per product and achievement percentages per game.
 //!
+//! Every crawl runs the same phases. An unsharded crawl ([`Crawler::crawl`])
+//! is a one-shard fleet; [`crawl_sharded`] runs one crawler per shard. The
+//! census walks each shard's ID residue class one batch at a time, because
+//! its stop rule depends on batch order. Users, group pages and apps fan
+//! out: a target picker (`shard_of`, `shard_of_group`, `shard_of_app`;
+//! always shard 0 unsharded) assigns each item to a shard, and each shard's
+//! share runs on that crawler's [`CrawlerConfig::workers`] workers, one
+//! fetcher per worker, built with the crawler and reused by every phase.
+//! Results merge in item order, so the snapshot is byte-identical for any
+//! worker or shard count.
+//!
 //! Throughout, the crawler throttles itself to a configurable rate —
 //! the paper used ~85% of the allowed maximum — and retries transient
 //! failures (429/5xx, dropped connections, corrupt response bodies) with
@@ -61,8 +72,9 @@ pub struct CrawlerConfig {
     pub empty_batches_to_stop: usize,
     /// Retry policy for transient failures.
     pub backoff: Backoff,
-    /// Worker threads for the per-user harvest (phase 2). The result is
-    /// byte-identical regardless of worker count; the throttle is shared.
+    /// Worker threads for every fan-out phase: the per-user harvest, group
+    /// pages and per-app catalog fetches (per shard in a fleet). The result
+    /// is byte-identical regardless of worker count; the throttle is shared.
     pub workers: usize,
     /// Directory for the crash-safe checkpoint journal. `None` disables
     /// checkpointing.
@@ -70,11 +82,11 @@ pub struct CrawlerConfig {
     /// Replay an existing journal in `checkpoint_dir` and skip the work it
     /// records, instead of starting fresh (which wipes the journal).
     pub resume: bool,
-    /// Size of the keep-alive connection pool shared by every fetcher
-    /// (phases 1–3 and all phase-2 workers): the whole crawl then runs over
-    /// at most this many sockets. `None` keeps one private connection per
-    /// fetcher. Size it to the phase-2 worker count — smaller starves
-    /// concurrent workers into opening throwaway connections.
+    /// Size of the keep-alive connection pool shared by every fetcher (the
+    /// census, the app list and every fan-out worker): the whole crawl then
+    /// runs over at most this many sockets. `None` keeps one private
+    /// connection per fetcher. Size it to the worker count — smaller
+    /// starves concurrent workers into opening throwaway connections.
     pub pool_size: Option<usize>,
     /// Propagate a trace context (`X-Steam-Trace`) on every request and
     /// record a client span per attempt in the flight recorder. Every
@@ -286,8 +298,8 @@ impl CrawlProgress {
     }
 }
 
-/// One throttled, retrying connection to the API server. Worker threads in
-/// the parallel harvest each own one, sharing the throttle and counters.
+/// One throttled, retrying connection to the API server. Every fan-out
+/// worker owns one, sharing the throttle and counters.
 struct Fetcher {
     client: HttpClient,
     backoff: Backoff,
@@ -415,10 +427,10 @@ impl Fetcher {
 
 /// The crawler.
 pub struct Crawler {
-    addr: SocketAddr,
-    fetcher: Fetcher,
+    /// One fetcher per worker, built with the crawler and reused by every
+    /// phase; the first also fetches the census, the app list and the panel.
+    fetchers: Vec<Fetcher>,
     config: CrawlerConfig,
-    throttle: Arc<Option<TokenBucket>>,
     registry: Arc<Registry>,
     progress: CrawlProgress,
     /// Shared keep-alive pool behind every fetcher (see
@@ -443,22 +455,20 @@ impl Crawler {
         );
         let progress = CrawlProgress::new(&registry);
         let pool = config.pool_size.map(ConnectionPool::shared);
-        let fetcher = Fetcher {
-            client: Self::make_client(addr, pool.as_ref()),
-            backoff: config.backoff,
-            throttle: Arc::clone(&throttle),
-            progress: progress.clone(),
-            synced_reconnects: 0,
-            trace: config.trace,
-        };
-        Crawler { addr, fetcher, config, throttle, registry, progress, pool }
-    }
-
-    fn make_client(addr: SocketAddr, pool: Option<&Arc<ConnectionPool>>) -> HttpClient {
-        match pool {
-            Some(pool) => HttpClient::with_pool(addr, Arc::clone(pool)),
-            None => HttpClient::new(addr),
-        }
+        let fetchers = (0..config.workers.max(1))
+            .map(|_| Fetcher {
+                client: match &pool {
+                    Some(pool) => HttpClient::with_pool(addr, Arc::clone(pool)),
+                    None => HttpClient::new(addr),
+                },
+                backoff: config.backoff,
+                throttle: Arc::clone(&throttle),
+                progress: progress.clone(),
+                synced_reconnects: 0,
+                trace: config.trace,
+            })
+            .collect();
+        Crawler { fetchers, config, registry, progress, pool }
     }
 
     /// The shared connection pool, when one is configured.
@@ -480,91 +490,10 @@ impl Crawler {
         &self.registry
     }
 
-    fn new_fetcher(&self) -> Fetcher {
-        Fetcher {
-            client: Self::make_client(self.addr, self.pool.as_ref()),
-            backoff: self.config.backoff,
-            throttle: Arc::clone(&self.throttle),
-            progress: self.progress.clone(),
-            synced_reconnects: 0,
-            trace: self.config.trace,
-        }
-    }
-
     /// Phase 1: census of the ID space. Returns accounts sorted by ID and
     /// the scanned ID-space size.
     pub fn census(&mut self) -> Result<(Vec<steam_model::Account>, u64), NetError> {
-        self.census_inner(None, &Replay::default())
-    }
-
-    fn census_inner(
-        &mut self,
-        journal: Option<&Mutex<CheckpointStore>>,
-        replay: &Replay,
-    ) -> Result<(Vec<steam_model::Account>, u64), NetError> {
-        let _timer = steam_obs::span("crawl", "census")
-            .with_histogram(Arc::clone(&self.progress.phase_census));
-        let mut accounts = Vec::new();
-        let mut next_index: u64 = 0;
-        let mut empty_run = 0usize;
-        let mut last_valid: Option<u64> = None;
-
-        // Replay the contiguous prefix of journaled batches; the fetch loop
-        // below continues where they end. (When the journal also has the
-        // census-complete marker, every batch before it survived — damage
-        // tolerance is strictly tail-shaped — so nothing is re-fetched.)
-        while let Some(batch) = replay.census_batches.get(&next_index) {
-            self.progress.resume_skipped.inc();
-            if batch.is_empty() {
-                empty_run += 1;
-            } else {
-                empty_run = 0;
-                for p in batch {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
-                    accounts.push(p.clone());
-                }
-                self.progress.profiles_found.set(accounts.len() as i64);
-            }
-            next_index += MAX_BATCH_IDS as u64;
-            self.progress.ids_scanned.set(next_index as i64);
-        }
-
-        if let Some(scanned) = replay.census_complete {
-            accounts.sort_by_key(|a| a.id);
-            self.progress.profiles_found.set(accounts.len() as i64);
-            return Ok((accounts, scanned));
-        }
-
-        while empty_run < self.config.empty_batches_to_stop {
-            let ids = (next_index..next_index + MAX_BATCH_IDS as u64).map(SteamId::from_index);
-            let players = self.fetcher.summaries(&self.config.api_key, ids.collect())?;
-            self.progress.census_batches.inc();
-            if let Some(j) = journal {
-                j.lock().append(&Record::CensusBatch {
-                    start_index: next_index,
-                    accounts: players.clone(),
-                })?;
-            }
-            if players.is_empty() {
-                empty_run += 1;
-            } else {
-                empty_run = 0;
-                for p in players {
-                    last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
-                    accounts.push(p);
-                }
-                self.progress.profiles_found.set(accounts.len() as i64);
-            }
-            next_index += MAX_BATCH_IDS as u64;
-            self.progress.ids_scanned.set(next_index as i64);
-        }
-        accounts.sort_by_key(|a| a.id);
-        self.progress.profiles_found.set(accounts.len() as i64);
-        let scanned = last_valid.map_or(0, |v| v + 1);
-        if let Some(j) = journal {
-            j.lock().append(&Record::CensusComplete { scanned_id_space: scanned })?;
-        }
-        Ok((accounts, scanned))
+        self.shard_census(0, 1, None, &Replay::default())
     }
 
     /// Collects the week panel for the given snapshot's users, probing the
@@ -578,7 +507,7 @@ impl Crawler {
         let mut panel = steam_model::WeekPanel::default();
         for (u, acct) in accounts.iter().enumerate() {
             let target = Endpoint::Panel(acct.id).target(Some(&key));
-            match self.fetcher.get_parsed(&target, wire::parse_panel) {
+            match self.fetchers[0].get_parsed(&target, wire::parse_panel) {
                 Ok(days) => {
                     panel.users.push(u as u32);
                     panel.daily_minutes.push(days);
@@ -595,143 +524,23 @@ impl Crawler {
     /// `collected_at` stamps the result (the crawler has no other way to
     /// know the nominal collection instant).
     ///
+    /// An unsharded crawl is a one-shard fleet: the same phases as
+    /// [`crawl_sharded`], with every request going to this crawler's server.
     /// With [`CrawlerConfig::checkpoint_dir`] set, completed work is
-    /// journaled as it happens and the journal is flushed on *every* exit
-    /// path — a crawl that dies mid-phase leaves a resumable journal behind.
+    /// journaled into that directory as it happens and the journal is
+    /// flushed on *every* exit path — a crawl that dies mid-phase leaves a
+    /// resumable journal behind.
     pub fn crawl(&mut self, collected_at: steam_model::SimTime) -> Result<Snapshot, NetError> {
-        let (journal, replay) = match self.config.checkpoint_dir.clone() {
-            Some(dir) => {
-                let (store, replay) = if self.config.resume {
-                    CheckpointStore::resume(&dir)?
-                } else {
-                    (CheckpointStore::create(&dir)?, Replay::default())
-                };
-                let store =
-                    store.with_counter(Arc::clone(&self.progress.checkpoint_records));
-                (Some(Mutex::new(store)), replay)
-            }
-            None => (None, Replay::default()),
-        };
-        let result = self.crawl_phases(collected_at, journal.as_ref(), &replay);
-        if let Some(j) = &journal {
-            let flushed = j.lock().flush();
-            if result.is_ok() {
-                // A failed final flush matters only on success; on the error
-                // path the original failure is the story (the journal keeps
-                // whatever did make it to disk).
-                flushed?;
-            }
-        }
-        result
-    }
-
-    fn crawl_phases(
-        &mut self,
-        collected_at: steam_model::SimTime,
-        journal: Option<&Mutex<CheckpointStore>>,
-        replay: &Replay,
-    ) -> Result<Snapshot, NetError> {
-        // --- phase 1 ---------------------------------------------------------
-        let (accounts, scanned_id_space) = self.census_inner(journal, replay)?;
-        let index_of: HashMap<SteamId, u32> = accounts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.id, i as u32))
-            .collect();
-
-        // --- phase 2 ---------------------------------------------------------
-        // Per-user harvest (see `harvest_users`): results land in per-user
-        // slots merged in index order, so the reconstructed snapshot is
-        // identical for any worker count.
-        let harvest_timer = steam_obs::span("crawl", "harvest")
-            .with_histogram(Arc::clone(&self.progress.phase_harvest));
-
-        let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
-            .map(|u| replay.users.get(&u).cloned())
-            .collect();
-        let replayed = user_records.iter().filter(|r| r.is_some()).count();
-        self.progress.resume_skipped.add(replayed as u64);
-        let todo: Vec<u32> = (0..accounts.len() as u32)
-            .filter(|&u| user_records[u as usize].is_none())
-            .collect();
-        for rec in harvest_users(self, &accounts, &todo, journal)? {
-            let slot = rec.index as usize;
-            user_records[slot] = Some(rec);
-        }
-
-        // Merge in index order; replayed and freshly fetched users take the
-        // same path.
-        let MergedUsers { friendships, ownerships, raw_memberships, seen_groups } =
-            merge_users(user_records, &index_of);
-
-        // Group metadata via the community-page analog. The BTreeSet gives
-        // the groups in ascending gid order, which becomes their dense index.
-        let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
-        let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-        for gid in seen_groups {
-            let page = if let Some(g) = replay.groups.get(&gid) {
-                self.progress.resume_skipped.inc();
-                g.clone()
-            } else {
-                let page = self.fetcher.group_page(gid)?;
-                if let Some(j) = journal {
-                    j.lock().append(&Record::GroupPage(page.clone()))?;
-                }
-                self.progress.groups_fetched.inc();
-                page
-            };
-            group_index.insert(gid, groups.len() as u32);
-            groups.push(page);
-        }
-        let memberships = dense_memberships(raw_memberships, &group_index);
-
-        drop(harvest_timer);
-
-        // --- phase 3 ---------------------------------------------------------
-        let catalog_timer = steam_obs::span("crawl", "catalog")
-            .with_histogram(Arc::clone(&self.progress.phase_catalog));
-        let app_ids = if let Some(list) = &replay.app_list {
-            self.progress.resume_skipped.inc();
-            list.clone()
-        } else {
-            let list = self.fetcher.app_list()?;
-            if let Some(j) = journal {
-                j.lock().append(&Record::AppList(list.clone()))?;
-            }
-            list
-        };
-        let mut catalog = Vec::with_capacity(app_ids.len());
-        for app in app_ids {
-            if let Some(game) = replay.apps.get(&app) {
-                self.progress.resume_skipped.inc();
-                catalog.push(game.clone());
-                continue;
-            }
-            let game = self.fetcher.app(app)?;
-            if let Some(j) = journal {
-                j.lock().append(&Record::App(game.clone()))?;
-            }
-            catalog.push(game);
-            self.progress.apps_fetched.inc();
-        }
-        catalog.sort_by_key(|g| g.app_id);
-        drop(catalog_timer);
-
-        Ok(Snapshot {
-            collected_at,
-            scanned_id_space,
-            accounts,
-            friendships,
-            ownerships,
-            groups,
-            memberships,
-            catalog,
-        })
+        let dirs = [self.config.checkpoint_dir.clone()];
+        let resume = self.config.resume;
+        crawl_fleet(std::slice::from_mut(self), &dirs, resume, collected_at)
     }
 
     /// Phase 1 against one shard of a mod-`n` fleet: walks the shard's
     /// residue class (global indices `shard`, `shard + n`, `shard + 2n`, …)
-    /// in batches of up to [`MAX_BATCH_IDS`] *owned* IDs.
+    /// in batches of up to [`MAX_BATCH_IDS`] *owned* IDs, one batch at a
+    /// time (the stop rule depends on batch order). An unsharded census is
+    /// shard 0 of 1.
     ///
     /// The stop rule counts consecutive empty owned batches, so each stop
     /// window spans `n×` the ID positions of the unsharded rule — a shard
@@ -758,6 +567,10 @@ impl Crawler {
         let stride = MAX_BATCH_IDS as u64 * n;
         let key_of = |b: u64| shard + b * stride;
 
+        // Replay the contiguous prefix of journaled batches; the fetch loop
+        // below continues where they end. (When the journal also has the
+        // census-complete marker, every batch before it survived — damage
+        // tolerance is strictly tail-shaped — so nothing is re-fetched.)
         while let Some(batch) = replay.census_batches.get(&key_of(batch_no)) {
             self.progress.resume_skipped.inc();
             if batch.is_empty() {
@@ -768,6 +581,7 @@ impl Crawler {
                     last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
                     accounts.push(p.clone());
                 }
+                self.progress.profiles_found.set_max(accounts.len() as i64);
             }
             batch_no += 1;
             self.progress.ids_scanned.set_max(key_of(batch_no) as i64);
@@ -781,7 +595,7 @@ impl Crawler {
         while empty_run < self.config.empty_batches_to_stop {
             let first = key_of(batch_no);
             let ids = (0..MAX_BATCH_IDS as u64).map(|j| SteamId::from_index(first + j * n));
-            let players = self.fetcher.summaries(&self.config.api_key, ids.collect())?;
+            let players = self.fetchers[0].summaries(&self.config.api_key, ids.collect())?;
             self.progress.census_batches.inc();
             if let Some(j) = journal {
                 j.lock().append(&Record::CensusBatch {
@@ -797,6 +611,7 @@ impl Crawler {
                     last_valid = Some(p.id.index().max(last_valid.unwrap_or(0)));
                     accounts.push(p);
                 }
+                self.progress.profiles_found.set_max(accounts.len() as i64);
             }
             batch_no += 1;
             self.progress.ids_scanned.set_max(key_of(batch_no) as i64);
@@ -808,6 +623,305 @@ impl Crawler {
         }
         Ok((accounts, scanned))
     }
+
+    /// Closes the idle connections of private-connection fetchers, so that
+    /// none sits a phase out holding one: a thread-per-connection server
+    /// parks a worker thread on every open keep-alive connection until its
+    /// idle timeout. A shared pool's idle connections serve any fetcher and
+    /// stay open.
+    fn close_idle(&self) {
+        if self.pool.is_none() {
+            for fetcher in &self.fetchers {
+                fetcher.client.pool().close_idle();
+            }
+        }
+    }
+}
+
+/// Crawls a fleet — one crawler for an unsharded crawl, one per shard
+/// otherwise — with crawler `i` journaling into `dirs[i]`. Every journal is
+/// flushed on every exit path.
+fn crawl_fleet(
+    crawlers: &mut [Crawler],
+    dirs: &[Option<PathBuf>],
+    resume: bool,
+    collected_at: steam_model::SimTime,
+) -> Result<Snapshot, NetError> {
+    let mut journals = Vec::with_capacity(crawlers.len());
+    let mut replays = Vec::with_capacity(crawlers.len());
+    for (crawler, dir) in crawlers.iter().zip(dirs) {
+        let (journal, replay) = match dir {
+            Some(dir) => {
+                let (store, replay) = if resume {
+                    CheckpointStore::resume(dir)?
+                } else {
+                    (CheckpointStore::create(dir)?, Replay::default())
+                };
+                let store = store.with_counter(Arc::clone(&crawler.progress.checkpoint_records));
+                (Some(Mutex::new(store)), replay)
+            }
+            None => (None, Replay::default()),
+        };
+        journals.push(journal);
+        replays.push(replay);
+    }
+    let mut fleet = Fleet { crawlers, journals, replays };
+    let result = fleet.phases(collected_at);
+    for journal in fleet.journals.iter().flatten() {
+        let flushed = journal.lock().flush();
+        if result.is_ok() {
+            // A failed final flush matters only on success; on the error
+            // path the original failure is the story (the journal keeps
+            // whatever did make it to disk).
+            flushed?;
+        }
+    }
+    result
+}
+
+/// The crawlers of one crawl, each with its journal and what that journal
+/// replayed. Shard `i` of `n` owns the IDs, gids and app ids that
+/// `shard_of`, `shard_of_group` and `shard_of_app` map to `i`; with one
+/// shard they all map to 0.
+struct Fleet<'a> {
+    crawlers: &'a mut [Crawler],
+    journals: Vec<Option<Mutex<CheckpointStore>>>,
+    replays: Vec<Replay>,
+}
+
+impl Fleet<'_> {
+    fn phases(&mut self, collected_at: steam_model::SimTime) -> Result<Snapshot, NetError> {
+        let n = self.crawlers.len();
+        let progress = self.crawlers[0].progress.clone();
+
+        // --- phase 1: every shard censuses its residue class concurrently.
+        // The classes partition the ID space, so the union is exactly the
+        // unsharded census; sorting by ID reproduces its order, and the
+        // scanned space is the max of the per-shard last-valid watermarks.
+        let (journals, replays) = (&self.journals, &self.replays);
+        let census = each_shard(self.crawlers, |i, crawler| {
+            crawler.shard_census(i as u64, n as u64, journals[i].as_ref(), &replays[i])
+        });
+        let mut accounts: Vec<steam_model::Account> = Vec::new();
+        let mut scanned_id_space = 0u64;
+        for result in census {
+            let (shard_accounts, shard_scanned) = result?;
+            accounts.extend(shard_accounts);
+            scanned_id_space = scanned_id_space.max(shard_scanned);
+        }
+        accounts.sort_by_key(|a| a.id);
+        progress.profiles_found.set(accounts.len() as i64);
+        let index_of: HashMap<SteamId, u32> = accounts
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.id, i as u32))
+            .collect();
+
+        // --- phase 2: every user's friends, games and groups from the shard
+        // that owns the user, then every group seen from the shard that owns
+        // the gid, in ascending gid order (which becomes the dense index).
+        let harvest_timer = steam_obs::span("crawl", "harvest")
+            .with_histogram(Arc::clone(&progress.phase_harvest));
+        let key = self.crawlers[0].config.api_key.clone();
+        let users: Vec<u32> = (0..accounts.len() as u32).collect();
+        let user_records = self.gather(
+            &users,
+            |&u| shard_of(accounts[u as usize].id, n),
+            |fetcher, &u| fetcher.harvest_user(&key, u, accounts[u as usize].id),
+        )?;
+        let MergedUsers { friendships, ownerships, raw_memberships, seen_groups } =
+            merge_users(user_records, &index_of);
+        let gids: Vec<GroupId> = seen_groups.into_iter().collect();
+        let groups = self.gather(
+            &gids,
+            |&gid| shard_of_group(gid, n),
+            |fetcher, &gid| fetcher.group_page(gid),
+        )?;
+        let group_index: HashMap<GroupId, u32> =
+            gids.iter().enumerate().map(|(i, &gid)| (gid, i as u32)).collect();
+        let memberships = dense_memberships(raw_memberships, &group_index);
+        drop(harvest_timer);
+
+        // --- phase 3: the catalog is replicated to every shard; the app list
+        // comes from shard 0 and each app from the shard that owns its id
+        // (pure load spreading — any shard could answer).
+        let catalog_timer = steam_obs::span("crawl", "catalog")
+            .with_histogram(Arc::clone(&progress.phase_catalog));
+        let app_ids = if let Some(list) = &self.replays[0].app_list {
+            progress.resume_skipped.inc();
+            list.clone()
+        } else {
+            self.crawlers[0].close_idle();
+            let list = self.crawlers[0].fetchers[0].app_list()?;
+            if let Some(j) = &self.journals[0] {
+                j.lock().append(&Record::AppList(list.clone()))?;
+            }
+            list
+        };
+        let mut catalog =
+            self.gather(&app_ids, |&app| shard_of_app(app, n), |fetcher, &app| fetcher.app(app))?;
+        catalog.sort_by_key(|g| g.app_id);
+        drop(catalog_timer);
+
+        Ok(Snapshot {
+            collected_at,
+            scanned_id_space,
+            accounts,
+            friendships,
+            ownerships,
+            groups,
+            memberships,
+            catalog,
+        })
+    }
+
+    /// One record per item of `items`, in `items` order: replayed when any
+    /// shard's journal holds it, otherwise fetched by the shard `pick`
+    /// assigns it to. Each shard's share runs concurrently on up to
+    /// [`CrawlerConfig::workers`] of that shard's workers, one fetcher per
+    /// worker, claiming one item at a time through
+    /// `steam_par::run_chunks_with`. A record is journaled before it
+    /// counts. Once any item fails no worker anywhere starts another, and
+    /// the first error in `items` order is returned.
+    fn gather<R: Fetched>(
+        &mut self,
+        items: &[R::Key],
+        pick: impl Fn(&R::Key) -> usize,
+        fetch: impl Fn(&mut Fetcher, &R::Key) -> Result<R, NetError> + Sync,
+    ) -> Result<Vec<R>, NetError> {
+        let Fleet { crawlers, journals, replays } = self;
+        let slots: Vec<Option<R>> = items
+            .iter()
+            .map(|key| replays.iter().find_map(|r| R::replayed(r, key)).cloned())
+            .collect();
+        crawlers[0].progress.resume_skipped.add(slots.iter().flatten().count() as u64);
+        let mut shares: Vec<Vec<usize>> = vec![Vec::new(); crawlers.len()];
+        for (k, slot) in slots.iter().enumerate() {
+            if slot.is_none() {
+                shares[pick(&items[k])].push(k);
+            }
+        }
+        // Workers fill `slots` in place and keep the error of the lowest
+        // index, so no per-item result list is built on the side.
+        let slots = Mutex::new(slots);
+        let first_err: Mutex<Option<(usize, NetError)>> = Mutex::new(None);
+        let failed = AtomicBool::new(false);
+        each_shard(crawlers, |s, crawler| {
+            crawler.close_idle();
+            let (share, journal) = (&shares[s], journals[s].as_ref());
+            let workers = steam_par::workers(crawler.config.workers, share.len(), 1);
+            let mut fetchers = crawler.fetchers.iter_mut();
+            steam_par::run_chunks_with(
+                workers,
+                share.len(),
+                1,
+                || fetchers.next().expect("one fetcher per worker"),
+                |fetcher, j, _| {
+                    if failed.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let k = share[j];
+                    let rec = fetch(fetcher, &items[k]).and_then(|rec| {
+                        if let Some(journal) = journal {
+                            journal.lock().append(&rec.record())?;
+                        }
+                        R::counter(&fetcher.progress).inc();
+                        Ok(rec)
+                    });
+                    match rec {
+                        Ok(rec) => slots.lock()[k] = Some(rec),
+                        Err(e) => {
+                            failed.store(true, Ordering::Relaxed);
+                            let mut first = first_err.lock();
+                            if first.as_ref().is_none_or(|&(i, _)| k < i) {
+                                *first = Some((k, e));
+                            }
+                        }
+                    }
+                },
+            );
+        });
+        if let Some((_, e)) = first_err.into_inner() {
+            return Err(e);
+        }
+        let slots = slots.into_inner().into_iter();
+        Ok(slots.map(|s| s.expect("every item replayed or fetched")).collect())
+    }
+}
+
+/// A record a fan-out phase fetches per item: the key it is fetched by,
+/// where a journal replays it from, the journal record that holds it and
+/// the counter that counts it.
+trait Fetched: Clone + Send {
+    type Key: Sync;
+    fn replayed<'r>(replay: &'r Replay, key: &Self::Key) -> Option<&'r Self>;
+    fn record(&self) -> Record;
+    fn counter(progress: &CrawlProgress) -> &Counter;
+}
+
+/// Phase 2's per-user harvest, keyed by census index.
+impl Fetched for UserRecord {
+    type Key = u32;
+    fn replayed<'r>(replay: &'r Replay, u: &u32) -> Option<&'r Self> {
+        replay.users.get(u)
+    }
+    fn record(&self) -> Record {
+        Record::User(self.clone())
+    }
+    fn counter(progress: &CrawlProgress) -> &Counter {
+        &progress.users_harvested
+    }
+}
+
+/// Group metadata via the community-page analog.
+impl Fetched for Group {
+    type Key = GroupId;
+    fn replayed<'r>(replay: &'r Replay, gid: &GroupId) -> Option<&'r Self> {
+        replay.groups.get(gid)
+    }
+    fn record(&self) -> Record {
+        Record::GroupPage(self.clone())
+    }
+    fn counter(progress: &CrawlProgress) -> &Counter {
+        &progress.groups_fetched
+    }
+}
+
+/// Phase 3's catalog entries: details plus achievement percentages.
+impl Fetched for Game {
+    type Key = AppId;
+    fn replayed<'r>(replay: &'r Replay, app: &AppId) -> Option<&'r Self> {
+        replay.apps.get(app)
+    }
+    fn record(&self) -> Record {
+        Record::App(self.clone())
+    }
+    fn counter(progress: &CrawlProgress) -> &Counter {
+        &progress.apps_fetched
+    }
+}
+
+/// Runs `f` on every shard's crawler — inline for one shard, on one thread
+/// per shard otherwise — and returns the results in shard order.
+fn each_shard<T: Send>(
+    crawlers: &mut [Crawler],
+    f: impl Fn(usize, &mut Crawler) -> T + Sync,
+) -> Vec<T> {
+    if let [crawler] = crawlers {
+        return vec![f(0, crawler)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = crawlers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, crawler)| scope.spawn(move || f(i, crawler)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
 }
 
 /// Phase-2 users merged in index order (see [`merge_users`]).
@@ -822,16 +936,12 @@ struct MergedUsers {
 
 /// Merges harvested or replayed users, given in index order, into the
 /// snapshot's friendships, libraries and raw group lists.
-fn merge_users(
-    user_records: Vec<Option<UserRecord>>,
-    index_of: &HashMap<SteamId, u32>,
-) -> MergedUsers {
+fn merge_users(user_records: Vec<UserRecord>, index_of: &HashMap<SteamId, u32>) -> MergedUsers {
     let mut friendships: Vec<Friendship> = Vec::new();
     let mut ownerships = Vec::with_capacity(user_records.len());
     let mut raw_memberships: Vec<Vec<GroupId>> = Vec::with_capacity(user_records.len());
     let mut seen_groups = BTreeSet::new();
     for rec in user_records {
-        let rec = rec.expect("every user harvested or replayed");
         for &(fid, since) in &rec.friends {
             if let Some(&v) = index_of.get(&fid) {
                 if rec.index < v {
@@ -862,64 +972,15 @@ fn dense_memberships(
         .collect()
 }
 
-/// Phase 2 for the accounts in `todo`: each one's friends, games and groups,
-/// on up to [`CrawlerConfig::workers`] workers that claim one user at a time
-/// through `steam_par::run_chunks_with`. Every worker has its own fetcher: a
-/// lone worker keeps the crawler's own, parallel workers each get a fresh
-/// one. A user is journaled before it counts as harvested, and records come
-/// back in `todo` order. Once any user fails no worker starts another, and
-/// the first error in `todo` order is returned.
-fn harvest_users(
-    crawler: &mut Crawler,
-    accounts: &[Account],
-    todo: &[u32],
-    journal: Option<&Mutex<CheckpointStore>>,
-) -> Result<Vec<UserRecord>, NetError> {
-    let workers = steam_par::workers(crawler.config.workers, todo.len(), 1);
-    let mut fresh: Vec<Fetcher> = Vec::new();
-    if workers > 1 {
-        fresh.extend((0..workers).map(|_| crawler.new_fetcher()));
-    }
-    let own = (workers == 1).then_some(&mut crawler.fetcher);
-    let mut fetchers = own.into_iter().chain(fresh.iter_mut());
-    let key = &crawler.config.api_key;
-    let failed = AtomicBool::new(false);
-    let harvested = steam_par::run_chunks_with(
-        workers,
-        todo.len(),
-        1,
-        || fetchers.next().expect("one fetcher per worker"),
-        |fetcher, k, _| {
-            if failed.load(Ordering::Relaxed) {
-                return None;
-            }
-            let u = todo[k];
-            let rec = fetcher.harvest_user(key, u, accounts[u as usize].id).and_then(|rec| {
-                // Journal only fully harvested users: all three fetches
-                // landed, so resume can skip this account entirely.
-                if let Some(j) = journal {
-                    j.lock().append(&Record::User(rec.clone()))?;
-                }
-                fetcher.progress.users_harvested.inc();
-                Ok(rec)
-            });
-            if rec.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            Some(rec)
-        },
-    );
-    harvested.into_iter().flatten().collect()
-}
-
 /// Crawls a sharded fleet into one merged snapshot, byte-identical to an
 /// unsharded crawl of the same world.
 ///
 /// One [`Crawler`] per shard address, all recording into a private shared
-/// registry (see [`crawl_sharded_observed`] to supply one). Phase 1 censuses
-/// every residue class concurrently; phase 2 harvests every shard
-/// concurrently ([`CrawlerConfig::workers`] worker threads *per shard*);
-/// groups and catalog fetches go to the shard that owns each gid/app id.
+/// registry (see [`crawl_sharded_observed`] to supply one), driven by the
+/// same phases as [`Crawler::crawl`]: every shard censuses its residue
+/// class concurrently, and users, groups and apps each go to the shard
+/// that owns them, every shard fetching its share concurrently on
+/// [`CrawlerConfig::workers`] worker threads *per shard*.
 ///
 /// With [`CrawlerConfig::checkpoint_dir`] set, each shard journals into its
 /// own `shard-{i}-of-{n}` subdirectory, flushed on every exit path; with
@@ -947,199 +1008,14 @@ pub fn crawl_sharded_observed(
 ) -> Result<Snapshot, NetError> {
     assert!(!addrs.is_empty(), "crawl_sharded needs at least one shard address");
     let n = addrs.len();
-    let mut crawlers = Vec::with_capacity(n);
-    let mut journals: Vec<Option<Mutex<CheckpointStore>>> = Vec::with_capacity(n);
-    let mut replays: Vec<Replay> = Vec::with_capacity(n);
-    for (i, &addr) in addrs.iter().enumerate() {
-        // Journals are managed here (one per shard), not by Crawler::crawl.
-        let mut shard_config = config.clone();
-        shard_config.checkpoint_dir = None;
-        let crawler = Crawler::with_registry(addr, shard_config, Arc::clone(&registry));
-        let (journal, replay) = match &config.checkpoint_dir {
-            Some(dir) => {
-                let sub = dir.join(format!("shard-{i}-of-{n}"));
-                let (store, replay) = if config.resume {
-                    CheckpointStore::resume(&sub)?
-                } else {
-                    (CheckpointStore::create(&sub)?, Replay::default())
-                };
-                let store =
-                    store.with_counter(Arc::clone(&crawler.progress.checkpoint_records));
-                (Some(Mutex::new(store)), replay)
-            }
-            None => (None, Replay::default()),
-        };
-        crawlers.push(crawler);
-        journals.push(journal);
-        replays.push(replay);
-    }
-    let result = crawl_sharded_phases(&mut crawlers, &journals, &replays, collected_at);
-    for journal in journals.iter().flatten() {
-        let flushed = journal.lock().flush();
-        if result.is_ok() {
-            // As in Crawler::crawl: a failed final flush only matters on the
-            // success path.
-            flushed?;
-        }
-    }
-    result
-}
-
-fn crawl_sharded_phases(
-    crawlers: &mut [Crawler],
-    journals: &[Option<Mutex<CheckpointStore>>],
-    replays: &[Replay],
-    collected_at: steam_model::SimTime,
-) -> Result<Snapshot, NetError> {
-    let n = crawlers.len();
-
-    // --- phase 1: every shard censuses its residue class concurrently. The
-    // classes partition the ID space, so the union is exactly the unsharded
-    // census; sorting by ID reproduces its order, and the fleet's scanned
-    // space is the max of the per-shard last-valid watermarks.
-    let census: Vec<Result<(Vec<steam_model::Account>, u64), NetError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = crawlers
-                .iter_mut()
-                .zip(journals)
-                .zip(replays)
-                .enumerate()
-                .map(|(i, ((crawler, journal), replay))| {
-                    scope.spawn(move || {
-                        crawler.shard_census(i as u64, n as u64, journal.as_ref(), replay)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census thread panicked"))
-                .collect()
-        });
-    let mut accounts: Vec<steam_model::Account> = Vec::new();
-    let mut scanned_id_space = 0u64;
-    for result in census {
-        let (shard_accounts, shard_scanned) = result?;
-        accounts.extend(shard_accounts);
-        scanned_id_space = scanned_id_space.max(shard_scanned);
-    }
-    accounts.sort_by_key(|a| a.id);
-    let progress = crawlers[0].progress.clone();
-    progress.profiles_found.set(accounts.len() as i64);
-    let index_of: HashMap<SteamId, u32> = accounts
+    let mut crawlers: Vec<Crawler> = addrs
         .iter()
-        .enumerate()
-        .map(|(i, a)| (a.id, i as u32))
+        .map(|&addr| Crawler::with_registry(addr, config.clone(), Arc::clone(&registry)))
         .collect();
-
-    // --- phase 2: per-shard harvest, all shards concurrent, each through
-    // `harvest_users` on its own workers. Results land in per-user slots
-    // keyed by *global* index, so the merge below is the same code path as
-    // the unsharded crawl.
-    let harvest_timer = steam_obs::span("crawl", "harvest")
-        .with_histogram(Arc::clone(&progress.phase_harvest));
-    let mut user_records: Vec<Option<UserRecord>> = (0..accounts.len() as u32)
-        .map(|u| replays.iter().find_map(|r| r.users.get(&u)).cloned())
+    let dirs: Vec<Option<PathBuf>> = (0..n)
+        .map(|i| config.checkpoint_dir.as_ref().map(|d| d.join(format!("shard-{i}-of-{n}"))))
         .collect();
-    let replayed = user_records.iter().filter(|r| r.is_some()).count();
-    progress.resume_skipped.add(replayed as u64);
-    let mut todo_per_shard: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for u in 0..accounts.len() as u32 {
-        if user_records[u as usize].is_none() {
-            todo_per_shard[shard_of(accounts[u as usize].id, n)].push(u);
-        }
-    }
-    let harvested: Vec<Result<Vec<UserRecord>, NetError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = crawlers
-            .iter_mut()
-            .zip(journals)
-            .zip(&todo_per_shard)
-            .map(|((crawler, journal), todo)| {
-                let accounts = &accounts;
-                scope.spawn(move || harvest_users(crawler, accounts, todo, journal.as_ref()))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("harvest thread panicked")).collect()
-    });
-    for result in harvested {
-        for rec in result? {
-            let slot = rec.index as usize;
-            user_records[slot] = Some(rec);
-        }
-    }
-
-    // Merge in global index order — the same sequence (and so the same
-    // bytes) as Crawler::crawl_phases.
-    let MergedUsers { friendships, ownerships, raw_memberships, seen_groups } =
-        merge_users(user_records, &index_of);
-
-    // Group metadata, ascending gid (the dense index order), each page from
-    // the shard that owns the gid.
-    let mut groups: Vec<Group> = Vec::with_capacity(seen_groups.len());
-    let mut group_index: HashMap<GroupId, u32> = HashMap::with_capacity(seen_groups.len());
-    for gid in seen_groups {
-        let page = if let Some(g) = replays.iter().find_map(|r| r.groups.get(&gid)) {
-            progress.resume_skipped.inc();
-            g.clone()
-        } else {
-            let s = shard_of_group(gid, n);
-            let page = crawlers[s].fetcher.group_page(gid)?;
-            if let Some(j) = &journals[s] {
-                j.lock().append(&Record::GroupPage(page.clone()))?;
-            }
-            crawlers[s].progress.groups_fetched.inc();
-            page
-        };
-        group_index.insert(gid, groups.len() as u32);
-        groups.push(page);
-    }
-    let memberships = dense_memberships(raw_memberships, &group_index);
-
-    drop(harvest_timer);
-
-    // --- phase 3: the catalog is replicated to every shard; the app list
-    // comes from shard 0 and per-app details from the shard that owns the
-    // app id (pure load spreading — any shard could answer).
-    let catalog_timer = steam_obs::span("crawl", "catalog")
-        .with_histogram(Arc::clone(&progress.phase_catalog));
-    let app_ids = if let Some(list) = &replays[0].app_list {
-        progress.resume_skipped.inc();
-        list.clone()
-    } else {
-        let list = crawlers[0].fetcher.app_list()?;
-        if let Some(j) = &journals[0] {
-            j.lock().append(&Record::AppList(list.clone()))?;
-        }
-        list
-    };
-    let mut catalog = Vec::with_capacity(app_ids.len());
-    for app in app_ids {
-        if let Some(game) = replays.iter().find_map(|r| r.apps.get(&app)) {
-            progress.resume_skipped.inc();
-            catalog.push(game.clone());
-            continue;
-        }
-        let s = shard_of_app(app, n);
-        let crawler = &mut crawlers[s];
-        let game = crawler.fetcher.app(app)?;
-        if let Some(j) = &journals[s] {
-            j.lock().append(&Record::App(game.clone()))?;
-        }
-        crawler.progress.apps_fetched.inc();
-        catalog.push(game);
-    }
-    catalog.sort_by_key(|g| g.app_id);
-    drop(catalog_timer);
-
-    Ok(Snapshot {
-        collected_at,
-        scanned_id_space,
-        accounts,
-        friendships,
-        ownerships,
-        groups,
-        memberships,
-        catalog,
-    })
+    crawl_fleet(&mut crawlers, &dirs, config.resume, collected_at)
 }
 
 #[cfg(test)]
@@ -1166,27 +1042,11 @@ mod tests {
         let crawled = crawler.crawl(original.collected_at).unwrap();
 
         crawled.validate().unwrap();
-        assert_eq!(crawled.n_users(), original.n_users());
-        assert_eq!(crawled.scanned_id_space, original.scanned_id_space);
-        // Accounts match field-by-field.
-        for (a, b) in crawled.accounts.iter().zip(&original.accounts) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.created_at, b.created_at);
-            assert_eq!(a.country, b.country);
-            assert_eq!(a.city, b.city);
-            assert_eq!(a.level, b.level);
-            assert_eq!(a.facebook_linked, b.facebook_linked);
-        }
-        assert_eq!(crawled.friendships, original.friendships);
-        assert_eq!(crawled.ownerships, original.ownerships);
-        assert_eq!(crawled.catalog, original.catalog);
-        // Memberships compared semantically (by group id): the crawler can
-        // only see groups that have at least one member.
-        for (cm, om) in crawled.memberships.iter().zip(&original.memberships) {
-            let cg: Vec<GroupId> = cm.iter().map(|&g| crawled.groups[g as usize].id).collect();
-            let og: Vec<GroupId> = om.iter().map(|&g| original.groups[g as usize].id).collect();
-            assert_eq!(cg, og);
-        }
+        // The crawl sees exactly what the API exposes, byte for byte.
+        assert_eq!(
+            steam_model::codec::encode_snapshot_v3(&crawled, 1),
+            steam_model::codec::encode_snapshot_v3(&original.observable(), 1)
+        );
         let stats = crawler.stats();
         assert!(stats.requests > original.n_users() as u64 * 3);
         assert_eq!(stats.profiles_found, original.n_users() as u64);
@@ -1303,14 +1163,16 @@ mod tests {
             let mut crawler = Crawler::new(server.addr(), config);
             crawler.crawl(original.collected_at).unwrap()
         };
-        let sequential = crawl_with(1);
-        let parallel = crawl_with(4);
-        assert_eq!(sequential.accounts.len(), parallel.accounts.len());
-        assert_eq!(sequential.friendships, parallel.friendships);
-        assert_eq!(sequential.ownerships, parallel.ownerships);
-        assert_eq!(sequential.memberships, parallel.memberships);
-        assert_eq!(sequential.catalog, parallel.catalog);
-        parallel.validate().unwrap();
+        let expected = steam_model::codec::encode_snapshot_v3(&original.observable(), 1);
+        for workers in [1, 4] {
+            let crawled = crawl_with(workers);
+            crawled.validate().unwrap();
+            assert_eq!(
+                steam_model::codec::encode_snapshot_v3(&crawled, 1),
+                expected,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

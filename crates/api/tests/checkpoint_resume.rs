@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use steam_api::{
-    crawl_sharded, serve_service_faulty, serve_shard_config, split_snapshot, ApiService,
-    CheckpointStore, Crawler, CrawlerConfig, RateLimit, ShardService,
+    crawl_sharded, crawl_sharded_observed, serve_service_faulty, serve_shard_config,
+    split_snapshot, ApiService, CheckpointStore, Crawler, CrawlerConfig, RateLimit, Record,
+    ShardService,
 };
 use steam_model::{codec, Snapshot};
 use steam_net::{Backoff, FaultInjector, FaultPlan, ServerConfig};
@@ -66,6 +67,7 @@ fn run_kill_resume(workers: usize, fault_seed: u64, world_seed: u64, tag: &str) 
     let mut clean_crawler = Crawler::new(clean_server.addr(), clean_config);
     let baseline = clean_crawler.crawl(original.collected_at).unwrap();
     let baseline_bytes = codec::encode_snapshot_v3(&baseline, 1);
+    assert_eq!(baseline_bytes, codec::encode_snapshot_v3(&original.observable(), 1));
 
     // The faulty server: every kind of fault, each request a potential
     // abort point for the retry-less crawler below.
@@ -195,26 +197,51 @@ fn checkpointed_crawl_without_kill_matches_plain_crawl() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every friend-list request fails: the harvest's first user fails on every
-/// worker. An injector counting exactly those requests.
-fn friend_list_outage() -> Arc<FaultInjector> {
-    let plan = FaultPlan::parse("/ISteamUser/GetFriendList:500=1.0", 9).unwrap();
+/// Every request under `path` fails: each fan-out worker's first item of
+/// that phase fails. An injector counting exactly those requests.
+fn outage(path: &str) -> Arc<FaultInjector> {
+    let plan = FaultPlan::parse(&format!("{path}:500=1.0"), 9).unwrap();
     Arc::new(FaultInjector::new(plan, Some(&steam_obs::Registry::new())))
 }
 
-/// The failed crawl's journal was flushed: a resume replays the whole census.
-fn assert_census_journaled(dir: &std::path::Path) {
-    let (_store, replay) = CheckpointStore::resume(dir).unwrap();
-    assert!(replay.census_complete.is_some(), "census not flushed to {}", dir.display());
-    assert!(!replay.census_batches.is_empty());
-    assert!(replay.users.is_empty(), "no user can have been harvested");
+/// What a failed crawl's flushed journals hold, summed over `dirs`: every
+/// one must replay a complete census. Returns the users and group pages.
+fn journaled(dirs: &[std::path::PathBuf]) -> (usize, usize) {
+    let (mut users, mut groups) = (0, 0);
+    for dir in dirs {
+        let (_store, replay) = CheckpointStore::resume(dir).unwrap();
+        assert!(replay.census_complete.is_some(), "census not flushed to {}", dir.display());
+        assert!(!replay.census_batches.is_empty());
+        users += replay.users.len();
+        groups += replay.groups.len();
+    }
+    (users, groups)
 }
 
-#[test]
-fn failing_harvest_stops_claiming_users() {
-    let original = tiny_snapshot(504);
+const FRIEND_LIST: &str = "/ISteamUser/GetFriendList";
+const GROUP_PAGE: &str = "/community/group";
+const APP_DETAILS: &str = "/api/appdetails";
+
+/// The users and group pages a crawl of `original` has journaled by the
+/// time the fan-out phase whose requests start with `path` begins.
+fn journaled_before(path: &str, original: &Snapshot) -> (usize, usize) {
+    match path {
+        FRIEND_LIST => (0, 0),
+        GROUP_PAGE => (original.n_users(), 0),
+        APP_DETAILS => (original.n_users(), original.observable().groups.len()),
+        _ => unreachable!("not a fan-out phase: {path}"),
+    }
+}
+
+/// Every request under `path` fails on a server for a retry-less crawl at
+/// 1 and 4 workers: the crawl fails, each worker sends at most one of
+/// those requests, and the flushed journal holds everything fetched
+/// before that phase.
+fn unsharded_fan_out_stops_claiming(seed: u64, path: &str) {
+    let original = tiny_snapshot(seed);
+    let before = journaled_before(path, &original);
     for workers in [1, 4] {
-        let injector = friend_list_outage();
+        let injector = outage(path);
         let (server, _service) = serve_service_faulty(
             ApiService::new(Arc::clone(&original), RateLimit::default()),
             "127.0.0.1:0",
@@ -223,25 +250,28 @@ fn failing_harvest_stops_claiming_users() {
             Some(Arc::clone(&injector)),
         )
         .unwrap();
-        let dir = checkpoint_dir(&format!("stop-{workers}"));
+        let dir = checkpoint_dir(&format!("stop-{seed}-{workers}"));
         let mut crawler = Crawler::new(server.addr(), kill_prone_config(&dir, false, workers));
         assert!(crawler.crawl(original.collected_at).is_err(), "workers={workers}");
-        // Each worker may have one friend-list request in flight when the
-        // first failure lands; none may start another user after it.
+        // Each worker may have one request in flight when the first failure
+        // lands; none may start another item after it.
         let seen = injector.injected_total();
         assert!((1..=workers as u64).contains(&seen), "workers={workers}: {seen} requests");
-        assert_eq!(crawler.stats().users_harvested, 0);
-        assert_census_journaled(&dir);
+        let stats = crawler.stats();
+        assert_eq!((stats.users_harvested as usize, stats.groups_fetched as usize), before);
+        assert_eq!(stats.apps_fetched, 0);
+        assert_eq!(journaled(std::slice::from_ref(&dir)), before, "workers={workers}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-#[test]
-fn failing_fleet_harvest_stops_claiming_users() {
+/// [`unsharded_fan_out_stops_claiming`] for a fleet of 2 shards with 2
+/// workers each: at most one failing request per worker of the fleet.
+fn fleet_fan_out_stops_claiming(seed: u64, path: &str) {
     const SHARDS: usize = 2;
     const WORKERS: usize = 2;
-    let original = tiny_snapshot(505);
-    let injector = friend_list_outage();
+    let original = tiny_snapshot(seed);
+    let injector = outage(path);
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for store in split_snapshot(&original, SHARDS) {
@@ -256,13 +286,131 @@ fn failing_fleet_harvest_stops_claiming_users() {
         addrs.push(server.addr());
         servers.push(server);
     }
-    let dir = checkpoint_dir("stop-fleet");
+    let dir = checkpoint_dir(&format!("stop-fleet-{seed}"));
     let config = kill_prone_config(&dir, false, WORKERS);
     assert!(crawl_sharded(&addrs, &config, original.collected_at).is_err());
     let seen = injector.injected_total();
     assert!((1..=(SHARDS * WORKERS) as u64).contains(&seen), "{seen} requests");
-    for i in 0..SHARDS {
-        assert_census_journaled(&dir.join(format!("shard-{i}-of-{SHARDS}")));
-    }
+    let dirs: Vec<_> = (0..SHARDS).map(|i| dir.join(format!("shard-{i}-of-{SHARDS}"))).collect();
+    assert_eq!(journaled(&dirs), journaled_before(path, &original));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failing_harvest_stops_claiming_users() {
+    unsharded_fan_out_stops_claiming(504, FRIEND_LIST);
+}
+
+#[test]
+fn failing_group_pages_stop_claiming_groups() {
+    unsharded_fan_out_stops_claiming(507, GROUP_PAGE);
+}
+
+#[test]
+fn failing_catalog_stops_claiming_apps() {
+    unsharded_fan_out_stops_claiming(508, APP_DETAILS);
+}
+
+#[test]
+fn failing_fleet_harvest_stops_claiming_users() {
+    fleet_fan_out_stops_claiming(505, FRIEND_LIST);
+}
+
+#[test]
+fn failing_fleet_group_pages_stop_claiming_groups() {
+    fleet_fan_out_stops_claiming(509, GROUP_PAGE);
+}
+
+#[test]
+fn failing_fleet_catalog_stops_claiming_apps() {
+    fleet_fan_out_stops_claiming(510, APP_DETAILS);
+}
+
+/// A partial journal in the unsharded layout (records directly in
+/// `checkpoint_dir`), as a crawl killed mid-harvest leaves it: the whole
+/// census, every other user and the first few group pages. It must resume
+/// to the clean crawl's bytes without refetching a journaled user, and the
+/// same records in an `n = 1` fleet's `shard-0-of-1` must too.
+#[test]
+fn partial_unsharded_journal_resumes_in_either_layout() {
+    let original = tiny_snapshot(506);
+    let (server, _service) = serve_service_faulty(
+        ApiService::new(Arc::clone(&original), RateLimit::default()),
+        "127.0.0.1:0",
+        2,
+        None,
+        None,
+    )
+    .unwrap();
+    let full = checkpoint_dir("layout-full");
+    let clean = Crawler::new(
+        server.addr(),
+        CrawlerConfig {
+            empty_batches_to_stop: 2,
+            checkpoint_dir: Some(full.clone()),
+            ..CrawlerConfig::default()
+        },
+    )
+    .crawl(original.collected_at)
+    .unwrap();
+    let clean_bytes = codec::encode_snapshot_v3(&clean, 1);
+    let (_store, complete) = CheckpointStore::resume(&full).unwrap();
+
+    let write_partial = |dir: &std::path::Path| {
+        let mut store = CheckpointStore::create(dir).unwrap();
+        for (&start_index, accounts) in &complete.census_batches {
+            store
+                .append(&Record::CensusBatch { start_index, accounts: accounts.clone() })
+                .unwrap();
+        }
+        let scanned_id_space = complete.census_complete.unwrap();
+        store.append(&Record::CensusComplete { scanned_id_space }).unwrap();
+        for u in (0..original.n_users() as u32).step_by(2) {
+            store.append(&Record::User(complete.users[&u].clone())).unwrap();
+        }
+        let mut gids: Vec<_> = complete.groups.keys().copied().collect();
+        gids.sort_unstable();
+        for gid in gids.iter().take(3) {
+            store.append(&Record::GroupPage(complete.groups[gid].clone())).unwrap();
+        }
+        store.flush().unwrap();
+    };
+    let journaled_users = original.n_users().div_ceil(2) as u64;
+    let resume_config = |dir: &std::path::Path| CrawlerConfig {
+        empty_batches_to_stop: 2,
+        workers: 4,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        resume: true,
+        ..CrawlerConfig::default()
+    };
+
+    let flat = checkpoint_dir("layout-flat");
+    write_partial(&flat);
+    let mut crawler = Crawler::new(server.addr(), resume_config(&flat));
+    let resumed = crawler.crawl(original.collected_at).unwrap();
+    assert_eq!(codec::encode_snapshot_v3(&resumed, 1), clean_bytes, "unsharded layout");
+    let stats = crawler.stats();
+    assert_eq!(stats.census_batches, 0, "the journaled census was refetched");
+    assert_eq!(stats.users_harvested, original.n_users() as u64 - journaled_users);
+    assert_eq!(stats.groups_fetched as usize, clean.groups.len() - 3);
+
+    let fleet = checkpoint_dir("layout-fleet");
+    write_partial(&fleet.join("shard-0-of-1"));
+    let registry = Arc::new(steam_obs::Registry::new());
+    let progress = steam_api::CrawlProgress::attach(&registry);
+    let resumed = crawl_sharded_observed(
+        &[server.addr()],
+        &resume_config(&fleet),
+        original.collected_at,
+        registry,
+    )
+    .unwrap();
+    assert_eq!(codec::encode_snapshot_v3(&resumed, 1), clean_bytes, "n = 1 fleet layout");
+    let stats = progress.stats();
+    assert_eq!(stats.census_batches, 0);
+    assert_eq!(stats.users_harvested, original.n_users() as u64 - journaled_users);
+
+    for dir in [full, flat, fleet] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -65,6 +65,7 @@ fn plain_round_trip_is_identical_across_modes() {
         snapshots.push((mode, codec::encode_snapshot_v3(&crawled, 1)));
     }
     let (_, reference) = &snapshots[0];
+    assert_eq!(reference, &codec::encode_snapshot_v3(&original.observable(), 1));
     for (mode, bytes) in &snapshots {
         assert_eq!(
             bytes,
@@ -101,6 +102,7 @@ fn faulty_round_trip_is_identical_across_modes() {
         snapshots.push((mode, codec::encode_snapshot_v3(&crawled, 1)));
     }
     let (_, reference) = &snapshots[0];
+    assert_eq!(reference, &codec::encode_snapshot_v3(&original.observable(), 1));
     for (mode, bytes) in &snapshots {
         assert_eq!(bytes, reference, "{} faulty crawl diverged", mode.label());
     }

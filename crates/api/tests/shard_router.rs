@@ -19,7 +19,7 @@ use steam_api::{
     shard_of, split_snapshot, ApiService, Crawler, CrawlerConfig, RateLimit, RouterConfig,
     RouterService, ShardService,
 };
-use steam_model::{codec, Snapshot};
+use steam_model::{codec, Group, GroupId, GroupKind, Snapshot};
 use steam_net::{Backoff, FaultInjector, FaultPlan, HttpClient, NetError, ServerConfig};
 use steam_synth::{Generator, SynthConfig};
 
@@ -34,7 +34,7 @@ fn tiny_snapshot(seed: u64) -> Arc<Snapshot> {
 }
 
 /// Crawl of the unsharded server: the byte baseline every fleet variant
-/// must reproduce.
+/// must reproduce. It is exactly the part of the world a crawl can observe.
 fn baseline_bytes(original: &Arc<Snapshot>) -> Vec<u8> {
     let (server, _s) = serve_service_faulty(
         ApiService::new(Arc::clone(original), RateLimit::default()),
@@ -46,17 +46,21 @@ fn baseline_bytes(original: &Arc<Snapshot>) -> Vec<u8> {
     .unwrap();
     let config = CrawlerConfig { empty_batches_to_stop: 2, ..CrawlerConfig::default() };
     let snapshot = Crawler::new(server.addr(), config).crawl(original.collected_at).unwrap();
-    codec::encode_snapshot_v3(&snapshot, 1).to_vec()
+    let bytes = codec::encode_snapshot_v3(&snapshot, 1).to_vec();
+    assert_eq!(bytes, codec::encode_snapshot_v3(&original.observable(), 1).to_vec());
+    bytes
 }
 
-/// Binds one server per shard; `faults[i]` arms shard `i`'s injector.
+/// Binds one server per shard of a `shards`-way split; `faults[i]` arms
+/// shard `i`'s injector.
 fn bind_fleet(
     original: &Snapshot,
+    shards: usize,
     faults: &[Option<Arc<FaultInjector>>],
 ) -> (Vec<steam_net::HttpServer>, Vec<SocketAddr>) {
-    let mut servers = Vec::with_capacity(SHARDS);
-    let mut addrs = Vec::with_capacity(SHARDS);
-    for (i, store) in split_snapshot(original, SHARDS).into_iter().enumerate() {
+    let mut servers = Vec::with_capacity(shards);
+    let mut addrs = Vec::with_capacity(shards);
+    for (i, store) in split_snapshot(original, shards).into_iter().enumerate() {
         let service = ShardService::new(store, RateLimit::default());
         let config = ServerConfig { workers: 4, ..Default::default() };
         let (server, _s) = serve_shard_config(
@@ -95,7 +99,7 @@ fn dead_addr() -> SocketAddr {
 fn crawl_through_router_is_byte_identical_to_direct_crawl() {
     let original = tiny_snapshot(601);
     let baseline = baseline_bytes(&original);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let (router, _r) = bind_router(addrs, RouterConfig::default());
 
     let config = CrawlerConfig {
@@ -116,7 +120,7 @@ fn crawl_through_router_is_byte_identical_to_direct_crawl() {
 fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
     let original = tiny_snapshot(602);
     let baseline = baseline_bytes(&original);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let config = CrawlerConfig {
         empty_batches_to_stop: 2,
         workers: 2,
@@ -130,10 +134,64 @@ fn sharded_fleet_crawl_merges_byte_identical_snapshot() {
     );
 }
 
+/// `world` with two groups nobody joined: one before every other group
+/// (shifting every membership index) and one after them all.
+fn with_unjoined_groups(world: &Snapshot) -> Arc<Snapshot> {
+    let empty = |id: u32| Group {
+        id: GroupId(id),
+        kind: GroupKind::SpecialInterest,
+        name: format!("unjoined {id}"),
+    };
+    let mut padded = world.clone();
+    let first = padded.groups.first().expect("a world with groups").id.0;
+    padded.groups.insert(0, empty(first - 1));
+    padded.groups.push(empty(u32::MAX));
+    for m in &mut padded.memberships {
+        for g in m.iter_mut() {
+            *g += 1;
+        }
+    }
+    padded.validate().unwrap();
+    Arc::new(padded)
+}
+
+/// A crawl finds groups only through their members, so a world with
+/// unjoined groups crawls back to its observable part: at 1 and 4 workers,
+/// from a 2-shard fleet and through a router over that fleet.
+#[test]
+fn crawl_of_world_with_unjoined_groups_is_its_observable_part() {
+    let original = with_unjoined_groups(&tiny_snapshot(609));
+    let observable = original.observable();
+    assert_eq!(observable.groups.len() + 2, original.groups.len());
+    let expected = codec::encode_snapshot_v3(&observable, 1).to_vec();
+    let crawl_config =
+        |workers: usize| CrawlerConfig { empty_batches_to_stop: 2, workers, ..CrawlerConfig::default() };
+    let (server, _s) = serve_service_faulty(
+        ApiService::new(Arc::clone(&original), RateLimit::default()),
+        "127.0.0.1:0",
+        2,
+        None,
+        None,
+    )
+    .unwrap();
+    for workers in [1, 4] {
+        let crawled =
+            Crawler::new(server.addr(), crawl_config(workers)).crawl(original.collected_at).unwrap();
+        assert_eq!(codec::encode_snapshot_v3(&crawled, 1).to_vec(), expected, "{workers} workers");
+    }
+    let (_servers, addrs) = bind_fleet(&original, 2, &[]);
+    let merged = crawl_sharded(&addrs, &crawl_config(2), original.collected_at).unwrap();
+    assert_eq!(codec::encode_snapshot_v3(&merged, 1).to_vec(), expected, "2-shard fleet");
+    let (router, _r) = bind_router(addrs, RouterConfig::default());
+    let routed =
+        Crawler::new(router.addr(), crawl_config(2)).crawl(original.collected_at).unwrap();
+    assert_eq!(codec::encode_snapshot_v3(&routed, 1).to_vec(), expected, "router");
+}
+
 #[test]
 fn dead_shard_yields_clean_errors_never_partial_200() {
     let original = tiny_snapshot(603);
-    let (_servers, mut addrs) = bind_fleet(&original, &[]);
+    let (_servers, mut addrs) = bind_fleet(&original, SHARDS, &[]);
     const DEAD: usize = 2;
     addrs[DEAD] = dead_addr();
     let config = RouterConfig {
@@ -204,7 +262,7 @@ fn fault_injected_shard_gives_up_with_503_and_retry_after() {
     let mut faults: Vec<Option<Arc<FaultInjector>>> = vec![None; SHARDS];
     const SICK: usize = 1;
     faults[SICK] = Some(injector);
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
     let config = RouterConfig {
         backoff: Backoff {
             base: std::time::Duration::from_millis(1),
@@ -243,7 +301,7 @@ fn routed_crawl_survives_fault_injected_shard_byte_identical() {
     let injector = Arc::new(FaultInjector::new(plan, Some(&registry)));
     let mut faults: Vec<Option<Arc<FaultInjector>>> = vec![None; SHARDS];
     faults[0] = Some(Arc::clone(&injector));
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
     // Router retries transport faults and 5xx; the crawler's own backoff
     // retries whatever still leaks through as a terminal 502/503.
     let (router, _r) = bind_router(addrs, RouterConfig::default());
@@ -287,7 +345,7 @@ fn killed_sharded_crawl_resumes_to_identical_snapshot() {
         injectors.push(Arc::clone(&injector));
         faults.push(Some(injector));
     }
-    let (_servers, addrs) = bind_fleet(&original, &faults);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &faults);
 
     let dir = std::env::temp_dir()
         .join(format!("steam-shard-resume-{}", std::process::id()));
@@ -405,7 +463,7 @@ fn single_shard_fleet_routes_byte_identical_to_unsharded_service() {
 #[test]
 fn routed_request_joins_client_router_and_shard_spans() {
     let original = tiny_snapshot(607);
-    let (_servers, addrs) = bind_fleet(&original, &[]);
+    let (_servers, addrs) = bind_fleet(&original, SHARDS, &[]);
     let (router, _r) = bind_router(addrs, RouterConfig::default());
 
     let trace = steam_obs::mint_trace_id();

@@ -146,6 +146,32 @@ impl Snapshot {
             .sum()
     }
 
+    /// The part of this snapshot that a crawl of its served API can observe.
+    /// A crawl finds groups only through their members' group lists, so
+    /// groups nobody belongs to are dropped (the rest keep their order) and
+    /// memberships are remapped to the remaining indices; everything else
+    /// is kept as is. A crawl of the served snapshot must give back exactly
+    /// this, byte for byte.
+    pub fn observable(&self) -> Snapshot {
+        let mut remap: Vec<Option<u32>> = vec![None; self.groups.len()];
+        for &g in self.memberships.iter().flatten() {
+            remap[g as usize] = Some(0);
+        }
+        let mut groups = Vec::new();
+        for (slot, group) in remap.iter_mut().zip(&self.groups) {
+            if slot.is_some() {
+                *slot = Some(groups.len() as u32);
+                groups.push(group.clone());
+            }
+        }
+        let memberships = self
+            .memberships
+            .iter()
+            .map(|m| m.iter().map(|&g| remap[g as usize].expect("a member's group")).collect())
+            .collect();
+        Snapshot { groups, memberships, ..self.clone() }
+    }
+
     /// Checks all structural invariants; returns the first violation found.
     ///
     /// * parallel arrays have matching lengths;
@@ -316,6 +342,37 @@ mod tests {
             memberships: vec![vec![0], vec![], vec![0]],
             catalog: vec![game(10, 999), game(20, 1999)],
         }
+    }
+
+    #[test]
+    fn observable_drops_only_groups_without_members() {
+        let s = tiny();
+        assert_eq!(s.observable().groups, s.groups, "every group has a member");
+        let empty = |id: u32| Group {
+            id: crate::group::GroupId(id),
+            kind: crate::group::GroupKind::SpecialInterest,
+            name: format!("empty {id}"),
+        };
+        // One member-less group before the joined one (shifting its index)
+        // and one after it.
+        let mut padded = tiny();
+        padded.groups.insert(0, empty(0));
+        padded.groups.push(empty(2));
+        for m in &mut padded.memberships {
+            for g in m.iter_mut() {
+                *g += 1;
+            }
+        }
+        padded.validate().unwrap();
+        let seen = padded.observable();
+        assert_eq!(seen.groups, s.groups);
+        assert_eq!(seen.memberships, s.memberships);
+        assert_eq!(seen.accounts, s.accounts);
+        assert_eq!(seen.friendships, s.friendships);
+        assert_eq!(seen.ownerships, s.ownerships);
+        assert_eq!(seen.catalog, s.catalog);
+        assert_eq!(seen.scanned_id_space, s.scanned_id_space);
+        seen.validate().unwrap();
     }
 
     #[test]

@@ -218,6 +218,28 @@ mod tests {
     }
 
     #[test]
+    fn closing_idle_connections_frees_a_threaded_servers_worker() {
+        use crate::server::{ServerConfig, ServerMode};
+        use std::time::{Duration, Instant};
+        // One worker thread, parked on each keep-alive connection until the
+        // 30 s idle timeout: a second client gets served only once the
+        // first one's idle connection is closed.
+        let config = ServerConfig { workers: 1, mode: ServerMode::Threaded, ..Default::default() };
+        let handler: Arc<dyn Handler> = Arc::new(|_req: Request| Response::json("{}".into()));
+        let server = HttpServer::bind_config("127.0.0.1:0", config, handler, None, None).unwrap();
+        let mut a = HttpClient::new(server.addr());
+        a.get("/a").unwrap();
+        assert_eq!(a.pool().idle_len(), 1);
+        a.pool().close_idle();
+        assert_eq!(a.pool().idle_len(), 0);
+        let start = Instant::now();
+        HttpClient::new(server.addr()).get("/b").unwrap();
+        assert!(start.elapsed() < Duration::from_secs(10), "served after {:?}", start.elapsed());
+        a.get("/a").unwrap();
+        assert_eq!(a.pool().connects(), 2, "the closed connection is not reused");
+    }
+
+    #[test]
     fn connection_close_response_is_not_pooled() {
         let handler: Arc<dyn Handler> = Arc::new(|_req: Request| {
             Response::json("{}".into()).with_header("Connection", "close")

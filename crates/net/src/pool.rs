@@ -3,7 +3,7 @@
 //! [`HttpClient`](crate::client::HttpClient) checks a connection out, runs
 //! one request/response exchange, and checks it back in if the exchange
 //! succeeded and the response allows reuse. Sharing one `Arc<ConnectionPool>`
-//! across the crawler's phase-2 workers lets N worker threads drive the
+//! across the crawler's workers lets N worker threads drive the
 //! whole crawl over at most `max_idle` sockets per address (plus short-lived
 //! overflow connections when every pooled one is checked out at once)
 //! instead of one socket per worker per lifetime — fewer TCP handshakes,
@@ -186,6 +186,13 @@ impl ConnectionPool {
         let bucket = buckets.entry(conn.addr).or_default();
         if bucket.idle.len() < self.max_idle {
             bucket.idle.push((conn, Instant::now()));
+        }
+    }
+
+    /// Closes every parked connection, all addresses.
+    pub fn close_idle(&self) {
+        for bucket in self.buckets.lock().values_mut() {
+            bucket.idle.clear();
         }
     }
 

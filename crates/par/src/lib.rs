@@ -1,8 +1,8 @@
 //! # steam-par
 //!
 //! The workspace's one chunk runner: generation, the v3 codec, the CSR
-//! build, the report engine, the tail-fit kernels and the crawler's harvest
-//! all fan out through [`run_chunks`] or its worker-state form
+//! build, the report engine, the tail-fit kernels and the crawler's fan-out
+//! phases all fan out through [`run_chunks`] or its worker-state form
 //! [`run_chunks_with`]. `0..n_items` is cut into `chunk_size` chunks on a
 //! grid the caller picks (never a function of the schedule), up to `jobs`
 //! workers claim them through one atomic cursor, and results come back in
@@ -41,7 +41,7 @@ where
 /// [`run_chunks`] with one piece of mutable state per worker: `init` runs on
 /// the calling thread once per worker before that worker starts (once in
 /// total when the run is inline), and every chunk the worker claims gets
-/// `&mut` its state. The crawler uses it to give each harvest worker its
+/// `&mut` its state. The crawler uses it to give each fan-out worker its
 /// own connection.
 pub fn run_chunks_with<S, T, I, F>(
     jobs: usize,
